@@ -80,7 +80,7 @@ void ChunkSizeSweep() {
     table.AddRow({FormatBytes(chunk), FormatDuration(elapsed),
                   FormatBytes(file.stats().fragmentation_bytes),
                   StrFormat("%llu", static_cast<unsigned long long>(
-                                        file.stats().total_chunks()))});
+                                        file.ledger().total_chunks()))});
   }
   table.Print();
   std::printf(
@@ -134,9 +134,11 @@ void StalenessSweep() {
     while (!done) rig.engine.RunUntil(rig.engine.now() + Seconds(1));
     for (const auto& file : files) {
       stale += file->stats().stale_list_retries;
-      disk_chunks += file->stats().chunks_local_disk + file->stats().chunks_dfs;
-      memory_chunks += file->stats().chunks_local_memory +
-                       file->stats().chunks_remote_memory;
+      const sponge::PlacementLedger& placed = file->ledger();
+      disk_chunks += placed[sponge::ChunkLocation::kLocalDisk].chunks +
+                     placed[sponge::ChunkLocation::kDfs].chunks;
+      memory_chunks += placed[sponge::ChunkLocation::kLocalMemory].chunks +
+                       placed[sponge::ChunkLocation::kRemoteMemory].chunks;
     }
     rig.env->StopServices();
     table.AddRow({FormatDuration(poll), StrFormat("%llu", (unsigned long long)stale),
@@ -290,13 +292,15 @@ void RackRestrictionAblation() {
     };
     engine.Spawn(run());
     engine.Run();
+    const sponge::PlacementLedger& placed = file.ledger();
     table.AddRow(
         {allow_cross_rack ? "cross-rack rung" : "rack-local only (paper)",
          FormatDuration(elapsed),
          FormatBytes(cluster.network().cross_rack_bytes()),
          StrFormat("%llu", static_cast<unsigned long long>(
-                               file.stats().chunks_local_disk +
-                               file.stats().chunks_dfs))});
+                               placed[sponge::ChunkLocation::kLocalDisk]
+                                   .chunks +
+                               placed[sponge::ChunkLocation::kDfs].chunks))});
   }
   table.Print();
   std::printf(

@@ -36,9 +36,11 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -126,19 +128,22 @@ struct TaskPlan {
 
 struct RackAgg {
   uint64_t tasks = 0;
-  uint64_t chunks_local = 0;
-  uint64_t chunks_remote_rack_local = 0;
-  uint64_t chunks_remote_cross_rack = 0;
-  uint64_t chunks_ssd = 0;
-  uint64_t chunks_disk = 0;
-  uint64_t chunks_dfs = 0;
-  uint64_t bytes_local = 0;
-  uint64_t bytes_remote_rack_local = 0;
-  uint64_t bytes_remote_cross_rack = 0;
-  uint64_t bytes_ssd = 0;
-  uint64_t bytes_disk = 0;
-  uint64_t bytes_dfs = 0;
+  sponge::PlacementLedger placed;
 };
+
+// The per-rack report columns, in JSON key order: the ledger's media with
+// remote memory split by rack locality.
+constexpr const char* kColumnKeys[] = {
+    "local", "remote_rack_local", "remote_cross_rack", "ssd", "disk", "dfs",
+};
+
+std::array<sponge::MediumTally, std::size(kColumnKeys)> Columns(
+    const sponge::PlacementLedger& placed) {
+  using sponge::ChunkLocation;
+  return {placed[ChunkLocation::kLocalMemory], placed.rack_local(),
+          placed.cross_rack(),                 placed[ChunkLocation::kLocalSsd],
+          placed[ChunkLocation::kLocalDisk],   placed[ChunkLocation::kDfs]};
+}
 
 // Job/task progress tallies, striped by lane: a job's tasks are all homed
 // on one rack (hence one lane under the rack-sharded engine), so the
@@ -184,23 +189,9 @@ sim::Task<> RunReplayTask(ReplayState* state, size_t job, size_t index,
   Status status = co_await file.Append(std::move(data));
   if (status.ok()) status = co_await file.Close();
   if (status.ok()) {
-    const sponge::SpongeFile::Stats& s = file.stats();
     RackAgg& agg = (*state->agg)[env->cluster()->rack_of(node)];
     ++agg.tasks;
-    agg.chunks_local += s.chunks_local_memory;
-    agg.chunks_remote_rack_local +=
-        s.chunks_remote_memory - s.chunks_remote_cross_rack;
-    agg.chunks_remote_cross_rack += s.chunks_remote_cross_rack;
-    agg.chunks_ssd += s.chunks_local_ssd;
-    agg.chunks_disk += s.chunks_local_disk;
-    agg.chunks_dfs += s.chunks_dfs;
-    agg.bytes_local += s.bytes_local_memory;
-    agg.bytes_remote_rack_local +=
-        s.bytes_remote_memory - s.bytes_remote_cross_rack;
-    agg.bytes_remote_cross_rack += s.bytes_remote_cross_rack;
-    agg.bytes_ssd += s.bytes_local_ssd;
-    agg.bytes_disk += s.bytes_local_disk;
-    agg.bytes_dfs += s.bytes_dfs;
+    agg.placed += file.ledger();
   } else {
     ++tally.tasks_failed;
   }
@@ -413,12 +404,9 @@ RunResult RunReplay(const Options& options) {
   digest.U64(result.peak_concurrent_jobs);
   for (const RackAgg& a : result.agg) {
     digest.U64(a.tasks);
-    digest.U64(a.bytes_local);
-    digest.U64(a.bytes_remote_rack_local);
-    digest.U64(a.bytes_remote_cross_rack);
-    digest.U64(a.bytes_ssd);
-    digest.U64(a.bytes_disk);
-    digest.U64(a.bytes_dfs);
+    for (const sponge::MediumTally& column : Columns(a.placed)) {
+      digest.U64(column.bytes);
+    }
   }
   for (uint64_t v : result.tracker_down) digest.U64(v);
   for (uint64_t v : result.uplink_bytes) digest.U64(v);
@@ -485,30 +473,19 @@ std::string SimJson(const Options& options, const RunResult& r) {
     obs::AppendJsonUint(&out, i);
     out += ", \"tasks\": ";
     obs::AppendJsonUint(&out, a.tasks);
-    out += ", \"chunks_local\": ";
-    obs::AppendJsonUint(&out, a.chunks_local);
-    out += ", \"chunks_remote_rack_local\": ";
-    obs::AppendJsonUint(&out, a.chunks_remote_rack_local);
-    out += ", \"chunks_remote_cross_rack\": ";
-    obs::AppendJsonUint(&out, a.chunks_remote_cross_rack);
-    out += ", \"chunks_ssd\": ";
-    obs::AppendJsonUint(&out, a.chunks_ssd);
-    out += ", \"chunks_disk\": ";
-    obs::AppendJsonUint(&out, a.chunks_disk);
-    out += ", \"chunks_dfs\": ";
-    obs::AppendJsonUint(&out, a.chunks_dfs);
-    out += ", \"bytes_local\": ";
-    obs::AppendJsonUint(&out, a.bytes_local);
-    out += ", \"bytes_remote_rack_local\": ";
-    obs::AppendJsonUint(&out, a.bytes_remote_rack_local);
-    out += ", \"bytes_remote_cross_rack\": ";
-    obs::AppendJsonUint(&out, a.bytes_remote_cross_rack);
-    out += ", \"bytes_ssd\": ";
-    obs::AppendJsonUint(&out, a.bytes_ssd);
-    out += ", \"bytes_disk\": ";
-    obs::AppendJsonUint(&out, a.bytes_disk);
-    out += ", \"bytes_dfs\": ";
-    obs::AppendJsonUint(&out, a.bytes_dfs);
+    const auto columns = Columns(a.placed);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      out += ", \"chunks_";
+      out += kColumnKeys[c];
+      out += "\": ";
+      obs::AppendJsonUint(&out, columns[c].chunks);
+    }
+    for (size_t c = 0; c < columns.size(); ++c) {
+      out += ", \"bytes_";
+      out += kColumnKeys[c];
+      out += "\": ";
+      obs::AppendJsonUint(&out, columns[c].bytes);
+    }
     out += "}";
     if (i + 1 < r.agg.size()) out += ",";
     out += "\n";
@@ -646,15 +623,15 @@ int main(int argc, char** argv) {
                                  : 0.0;
     std::string label = std::to_string(i);
     if (i == r.outage_rack) label += " (outage)";
-    table.AddRow({label, StrFormat("%llu", (unsigned long long)a.tasks),
-                  FormatBytes(a.bytes_local),
-                  FormatBytes(a.bytes_remote_rack_local),
-                  FormatBytes(a.bytes_remote_cross_rack),
-                  FormatBytes(a.bytes_ssd), FormatBytes(a.bytes_disk),
-                  FormatBytes(a.bytes_dfs),
-                  StrFormat("%.1f%%", util * 100.0),
-                  StrFormat("%llu",
-                            (unsigned long long)r.shard_queries[i])});
+    std::vector<std::string> row = {
+        label, StrFormat("%llu", (unsigned long long)a.tasks)};
+    for (const sponge::MediumTally& column : Columns(a.placed)) {
+      row.push_back(FormatBytes(column.bytes));
+    }
+    row.push_back(StrFormat("%.1f%%", util * 100.0));
+    row.push_back(
+        StrFormat("%llu", (unsigned long long)r.shard_queries[i]));
+    table.AddRow(std::move(row));
   }
   table.Print();
   std::printf(

@@ -232,7 +232,7 @@ void FoldRun(const MacroRun& run, ScenarioResult* r, Digest* d) {
   r->ok = r->ok && run.correct;
   d->U64(run.runtime);
   d->U64(run.total_spill.bytes_spilled);
-  d->U64(run.total_spill.sponge_chunks);
+  d->U64(run.total_spill.sponge.total_chunks());
   d->U64(run.straggler.input_bytes);
   d->U64(run.engine_events);
   d->U64(run.sim_now);

@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
     all_jobs.Add(run.total_spill);
     const auto& spill = run.straggler.spill;
     uint64_t memory_chunks =
-        spill.sponge_chunks_local + spill.sponge_chunks_remote;
+        spill.sponge[sponge::ChunkLocation::kLocalMemory].chunks +
+        spill.sponge[sponge::ChunkLocation::kRemoteMemory].chunks;
     double frag = memory_chunks == 0
                       ? 0.0
                       : 100.0 * static_cast<double>(spill.fragmentation_bytes) /
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
                   FormatBytes(spill.bytes_spilled),
                   StrFormat("%llu",
                             static_cast<unsigned long long>(
-                                spill.sponge_chunks)),
+                                spill.sponge.total_chunks())),
                   StrFormat("%.3f", frag), paper[row]});
     ++row;
   }
@@ -86,27 +87,20 @@ int main(int argc, char** argv) {
 
   // Cross-check the metrics registry against the tasks' own accounting.
   // Both sides count logical bytes on the same store path, so they must
-  // match to the byte (no failed or cancelled tasks in this bench).
-  struct {
-    const char* medium;
-    uint64_t expected;
-  } media[] = {
-      {"local-memory", all_jobs.sponge_bytes_local},
-      {"remote-memory", all_jobs.sponge_bytes_remote},
-      {"local-disk", all_jobs.sponge_bytes_disk},
-      {"dfs", all_jobs.sponge_bytes_dfs},
-  };
+  // match to the byte on every medium (no failed or cancelled tasks in this
+  // bench).
   bool agree = true;
   std::printf("\nmetrics cross-check (sponge.spill.bytes vs task stats):\n");
-  for (const auto& m : media) {
+  for (sponge::ChunkLocation where : sponge::kChunkLocations) {
+    const char* medium = sponge::ChunkLocationName(where);
     uint64_t counted =
-        registry.counter("sponge.spill.bytes", {{"medium", m.medium}})
-            ->value();
-    bool ok = counted == m.expected;
+        registry.counter("sponge.spill.bytes", {{"medium", medium}})->value();
+    uint64_t expected = all_jobs.sponge[where].bytes;
+    bool ok = counted == expected;
     agree = agree && ok;
-    std::printf("  %-14s registry=%llu tasks=%llu %s\n", m.medium,
+    std::printf("  %-14s registry=%llu tasks=%llu %s\n", medium,
                 static_cast<unsigned long long>(counted),
-                static_cast<unsigned long long>(m.expected),
+                static_cast<unsigned long long>(expected),
                 ok ? "OK" : "MISMATCH");
   }
   std::printf("metrics cross-check: %s\n", agree ? "PASS" : "FAIL");

@@ -37,12 +37,10 @@ int main() {
   const mapred::TaskStats* straggler = result->straggler();
   std::printf(
       "straggling reduce (english): input=%s spilled=%s via %llu sponge "
-      "chunks (%llu local / %llu remote)\n",
+      "chunks (%s)\n",
       FormatBytes(straggler->input_bytes).c_str(),
       FormatBytes(straggler->spill.bytes_spilled).c_str(),
-      static_cast<unsigned long long>(straggler->spill.sponge_chunks),
-      static_cast<unsigned long long>(straggler->spill.sponge_chunks_local),
-      static_cast<unsigned long long>(
-          straggler->spill.sponge_chunks_remote));
+      static_cast<unsigned long long>(straggler->spill.sponge.total_chunks()),
+      sponge::DescribeChunks(straggler->spill.sponge).c_str());
   return 0;
 }

@@ -36,7 +36,7 @@ Duration RunOnce(mapred::SpillMode mode) {
       FormatDuration(result->runtime).c_str(),
       FormatBytes(straggler->input_bytes).c_str(),
       FormatBytes(straggler->spill.bytes_spilled).c_str(),
-      static_cast<unsigned long long>(straggler->spill.sponge_chunks));
+      static_cast<unsigned long long>(straggler->spill.sponge.total_chunks()));
   return result->runtime;
 }
 

@@ -64,14 +64,8 @@ sim::Task<> Demo(sim::Engine* engine, sponge::SpongeEnv* env) {
               FormatDuration(engine->now() - start).c_str(),
               written.digest() == read_back.digest() ? "MATCH" : "DIFFER");
 
-  const auto& stats = file.stats();
-  std::printf(
-      "chunk placement: %llu local memory, %llu remote memory, %llu local "
-      "disk, %llu DFS\n",
-      static_cast<unsigned long long>(stats.chunks_local_memory),
-      static_cast<unsigned long long>(stats.chunks_remote_memory),
-      static_cast<unsigned long long>(stats.chunks_local_disk),
-      static_cast<unsigned long long>(stats.chunks_dfs));
+  std::printf("chunk placement: %s\n",
+              sponge::DescribeChunks(file.ledger()).c_str());
 
   co_await file.Delete();
   env->EndTask(task);

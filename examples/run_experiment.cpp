@@ -220,22 +220,11 @@ int main(int argc, char** argv) {
     std::printf("straggler input     : %s (%llu records)\n",
                 FormatBytes(straggler->input_bytes).c_str(),
                 static_cast<unsigned long long>(straggler->input_records));
-    std::printf("straggler spilled   : %s in %llu sponge chunks "
-                "(%llu local / %llu remote / %llu ssd / %llu disk / "
-                "%llu dfs)\n",
+    const sponge::PlacementLedger& placed = straggler->spill.sponge;
+    std::printf("straggler spilled   : %s in %llu sponge chunks (%s)\n",
                 FormatBytes(straggler->spill.bytes_spilled).c_str(),
-                static_cast<unsigned long long>(
-                    straggler->spill.sponge_chunks),
-                static_cast<unsigned long long>(
-                    straggler->spill.sponge_chunks_local),
-                static_cast<unsigned long long>(
-                    straggler->spill.sponge_chunks_remote),
-                static_cast<unsigned long long>(
-                    straggler->spill.sponge_chunks_ssd),
-                static_cast<unsigned long long>(
-                    straggler->spill.sponge_chunks_disk),
-                static_cast<unsigned long long>(
-                    straggler->spill.sponge_chunks_dfs));
+                static_cast<unsigned long long>(placed.total_chunks()),
+                sponge::DescribeChunks(placed).c_str());
   }
   for (size_t i = 0; i < std::min<size_t>(result->output.size(), 5); ++i) {
     const mapred::Record& row = result->output[i];

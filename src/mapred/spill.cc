@@ -21,17 +21,7 @@ obs::Counter* SpillModeCounter(SpillMode mode) {
 void SpillStats::Add(const SpillStats& other) {
   bytes_spilled += other.bytes_spilled;
   files_created += other.files_created;
-  sponge_chunks += other.sponge_chunks;
-  sponge_chunks_local += other.sponge_chunks_local;
-  sponge_chunks_remote += other.sponge_chunks_remote;
-  sponge_chunks_ssd += other.sponge_chunks_ssd;
-  sponge_chunks_disk += other.sponge_chunks_disk;
-  sponge_chunks_dfs += other.sponge_chunks_dfs;
-  sponge_bytes_local += other.sponge_bytes_local;
-  sponge_bytes_remote += other.sponge_bytes_remote;
-  sponge_bytes_ssd += other.sponge_bytes_ssd;
-  sponge_bytes_disk += other.sponge_bytes_disk;
-  sponge_bytes_dfs += other.sponge_bytes_dfs;
+  sponge += other.sponge;
   fragmentation_bytes += other.fragmentation_bytes;
   stale_list_retries += other.stale_list_retries;
 }
@@ -151,17 +141,7 @@ class SpongeSpillFile : public SpillFile {
     if (status.ok() && !counted_) {
       counted_ = true;
       const auto& s = file_.stats();
-      stats_->sponge_chunks += s.total_chunks();
-      stats_->sponge_chunks_local += s.chunks_local_memory;
-      stats_->sponge_chunks_remote += s.chunks_remote_memory;
-      stats_->sponge_chunks_ssd += s.chunks_local_ssd;
-      stats_->sponge_chunks_disk += s.chunks_local_disk;
-      stats_->sponge_chunks_dfs += s.chunks_dfs;
-      stats_->sponge_bytes_local += s.bytes_local_memory;
-      stats_->sponge_bytes_remote += s.bytes_remote_memory;
-      stats_->sponge_bytes_ssd += s.bytes_local_ssd;
-      stats_->sponge_bytes_disk += s.bytes_local_disk;
-      stats_->sponge_bytes_dfs += s.bytes_dfs;
+      stats_->sponge += s.ledger;
       stats_->fragmentation_bytes += s.fragmentation_bytes;
       stats_->stale_list_retries += s.stale_list_retries;
     }
@@ -175,10 +155,6 @@ class SpongeSpillFile : public SpillFile {
   sim::Task<> Delete() override { co_await file_.Delete(); }
 
   uint64_t size() const override { return file_.size(); }
-
-  const sponge::SpongeFile::Stats* sponge_stats() const override {
-    return &file_.stats();
-  }
 
  private:
   sponge::SpongeFile file_;

@@ -55,10 +55,6 @@ class SpillFile {
   }
 
   virtual uint64_t size() const = 0;
-  // Placement stats when backed by a SpongeFile, nullptr otherwise.
-  virtual const sponge::SpongeFile::Stats* sponge_stats() const {
-    return nullptr;
-  }
 };
 
 // Where a task's spills go; what Figures 4-6 vary.
@@ -69,19 +65,9 @@ enum class SpillMode { kDisk, kSponge };
 struct SpillStats {
   uint64_t bytes_spilled = 0;
   uint64_t files_created = 0;
-  uint64_t sponge_chunks = 0;
-  uint64_t sponge_chunks_local = 0;
-  uint64_t sponge_chunks_remote = 0;
-  uint64_t sponge_chunks_ssd = 0;
-  uint64_t sponge_chunks_disk = 0;
-  uint64_t sponge_chunks_dfs = 0;
-  // Logical bytes the sponge cascade placed on each medium (sums to
-  // bytes_spilled for a pure-sponge task).
-  uint64_t sponge_bytes_local = 0;
-  uint64_t sponge_bytes_remote = 0;
-  uint64_t sponge_bytes_ssd = 0;
-  uint64_t sponge_bytes_disk = 0;
-  uint64_t sponge_bytes_dfs = 0;
+  // Chunks and logical bytes the sponge cascade placed on each medium (the
+  // byte tallies sum to bytes_spilled for a pure-sponge task).
+  sponge::PlacementLedger sponge;
   uint64_t fragmentation_bytes = 0;
   uint64_t stale_list_retries = 0;
 

@@ -1,9 +1,8 @@
 #include "sponge/repair.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sponge/placement.h"
 #include "sponge/rpc_client.h"
 #include "sponge/sponge_env.h"
 
@@ -119,41 +118,15 @@ sim::Task<> RepairService::RepairEntry(uint64_t chunk_id) {
   if (data.Checksum64() != checksum) co_return;
 
   // Pick the new home from the tracker's freshest view: alive, not already
-  // holding a copy, past the pressure gate, rack-diverse from the survivor
+  // holding a copy, past the copy gate, rack-diverse from the survivor
   // when possible.
   const SpongeConfig& config = env_->config();
-  const std::vector<FreeSpaceEntry>& view = env_->tracker().snapshot();
-  const size_t source_rack = env_->cluster()->rack_of(source.node);
-  size_t target = source.node;
-  bool found = false;
-  const int passes = config.replication.prefer_rack_diverse ? 2 : 1;
-  for (int pass = 0; pass < passes && !found; ++pass) {
-    const bool want_diverse = config.replication.prefer_rack_diverse &&
-                              pass == 0;
-    for (const FreeSpaceEntry& candidate : view) {
-      if (candidate.node == source.node) continue;
-      if (!env_->server(candidate.node).alive()) continue;
-      const bool diverse =
-          env_->cluster()->rack_of(candidate.node) != source_rack;
-      if (want_diverse && !diverse) continue;
-      ChunkPool& pool = env_->server(candidate.node).pool();
-      const uint64_t capacity = pool.total_chunks() * config.chunk_size;
-      const uint64_t min_free = static_cast<uint64_t>(
-          config.replication.min_free_fraction *
-          static_cast<double>(capacity));
-      // Size-class-aware: gate on the slot the repaired copy will occupy.
-      const uint64_t need = pool.class_bytes_for(data.size());
-      if (candidate.free_bytes < min_free || candidate.free_bytes < need ||
-          (need >= config.chunk_size &&
-           candidate.free_bulk_bytes < need)) {
-        continue;
-      }
-      target = candidate.node;
-      found = true;
-      break;
-    }
-  }
-  if (!found) co_return;  // cluster under pressure; stay single-copy
+  const std::vector<size_t> targets = CopyTargets(
+      env_, env_->tracker().snapshot(), source.node, data.size(),
+      [this](size_t node) { return !env_->server(node).alive(); },
+      /*limit=*/1);
+  if (targets.empty()) co_return;  // cluster under pressure; stay single-copy
+  const size_t target = targets.front();
 
   // The new copy is a replica owned by the same attempt, so GC reclaims it
   // with the attempt whether or not anyone ever reads it. The owner's node

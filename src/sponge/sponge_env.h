@@ -32,10 +32,6 @@ struct ReplicationConfig {
   // node's pool. Replication is strictly best-effort — under pressure the
   // spare copy is skipped rather than crowding out foreground spills.
   double min_free_fraction = 0.25;
-  // Prefer a replica on a different rack from the primary (survives
-  // rack-correlated failures); falls back to same-rack when no off-rack
-  // candidate passes the pressure gate.
-  bool prefer_rack_diverse = true;
   // Re-replication repair budget, as a fraction of the rack uplink rate
   // (the NIC rate when the core is unmetered): after copying a chunk the
   // repair loop idles long enough that its average throughput never
@@ -70,16 +66,8 @@ struct SpongeConfig {
   bool async_write = true;
   // Disable the disk/DFS fallbacks (memory-only operation; allocation
   // failures surface as RESOURCE_EXHAUSTED). Also disables the SSD rung —
-  // an SSD is not memory.
+  // an SSD is not memory. (The SSD rung runs on nodes with an SSD.)
   bool memory_only = false;
-  // --- SSD rung ---
-  // Use the node's local SSD (NodeConfig::ssd with capacity > 0) as the
-  // cascade rung between remote memory and local disk. Inert — every
-  // placement is bit-identical to before — on nodes without an SSD.
-  bool ssd_enabled = true;
-  // Spill to the SSD only while its used fraction stays at or below this
-  // (headroom for other consumers of the device).
-  double ssd_max_used_fraction = 1.0;
   // Disable remote memory entirely (local pool then disk).
   bool allow_remote_memory = true;
   // Encrypt chunk contents before they leave the task (section 3.1.4's
@@ -88,16 +76,9 @@ struct SpongeConfig {
   bool encrypt = false;
   std::string encryption_passphrase = "spongefiles";
   double cipher_bandwidth = 500.0 * 1024 * 1024;
-  // Verify each chunk's stored checksum on read; a mismatch is treated as
-  // a lost chunk (UNAVAILABLE) and recovered by the framework's task
-  // retry. The hash rides along with the memcpy in a real implementation,
-  // so no simulated time is charged.
-  bool verify_checksums = true;
   // Client-side hardening of remote sponge operations (deadlines,
   // retries, circuit breaker); see rpc_client.h.
   RpcPolicy rpc;
-  // Seeds the deterministic backoff jitter.
-  uint64_t rpc_jitter_seed = 0x5f0a9e;
   // Chunk replication and crash recovery (see ReplicationConfig above).
   ReplicationConfig replication;
 };

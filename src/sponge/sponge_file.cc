@@ -1,6 +1,7 @@
 #include "sponge/sponge_file.h"
 
 #include <algorithm>
+#include <array>
 #include <string_view>
 
 #include "common/crypto.h"
@@ -13,7 +14,7 @@ namespace spongefiles::sponge {
 namespace {
 
 // Per-medium spill accounting. These are the counters the benches check
-// against the SpillStats the tasks report: both are incremented on the same
+// against the ledgers the tasks report: both are incremented on the same
 // code path, once per stored chunk.
 // lint: shard(value)
 struct MediumMetrics {
@@ -21,67 +22,48 @@ struct MediumMetrics {
   obs::Counter* chunks;
 };
 
+// The `<prefix>.bytes` / `<prefix>.chunks` counter pair for `labels`.
+MediumMetrics CounterPair(const std::string& prefix,
+                          const obs::Labels& labels) {
+  obs::Registry& registry = obs::Registry::Default();
+  return {registry.counter(prefix + ".bytes", labels),
+          registry.counter(prefix + ".chunks", labels)};
+}
+
 const MediumMetrics& MediumMetricsFor(ChunkLocation location) {
-  static obs::Registry& registry = obs::Registry::Default();
-  static const MediumMetrics metrics[] = {
-      {registry.counter("sponge.spill.bytes", {{"medium", "local-memory"}}),
-       registry.counter("sponge.spill.chunks", {{"medium", "local-memory"}})},
-      {registry.counter("sponge.spill.bytes", {{"medium", "remote-memory"}}),
-       registry.counter("sponge.spill.chunks",
-                        {{"medium", "remote-memory"}})},
-      {registry.counter("sponge.spill.bytes", {{"medium", "local-ssd"}}),
-       registry.counter("sponge.spill.chunks", {{"medium", "local-ssd"}})},
-      {registry.counter("sponge.spill.bytes", {{"medium", "local-disk"}}),
-       registry.counter("sponge.spill.chunks", {{"medium", "local-disk"}})},
-      {registry.counter("sponge.spill.bytes", {{"medium", "dfs"}}),
-       registry.counter("sponge.spill.chunks", {{"medium", "dfs"}})},
-  };
+  static const std::array<MediumMetrics, kNumChunkLocations> metrics = [] {
+    std::array<MediumMetrics, kNumChunkLocations> out{};
+    for (ChunkLocation where : kChunkLocations) {
+      out[static_cast<size_t>(where)] =
+          CounterPair("sponge.spill", {{"medium", ChunkLocationName(where)}});
+    }
+    return out;
+  }();
   return metrics[static_cast<size_t>(location)];
 }
 
-obs::Counter* DecisionCounter(std::string_view reason) {
-  static obs::Registry& registry = obs::Registry::Default();
-  static obs::Counter* const pool_full =
-      registry.counter("sponge.alloc.decisions", {{"reason", "pool-full"}});
-  static obs::Counter* const tracker_stale = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "tracker-stale"}});
-  static obs::Counter* const tracker_down = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "tracker-down"}});
-  static obs::Counter* const rack_restricted = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "rack-restricted"}});
-  static obs::Counter* const server_sick = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "server-sick"}});
-  static obs::Counter* const rpc_timeout = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "rpc-timeout"}});
-  static obs::Counter* const ssd_full = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "ssd-full"}});
-  static obs::Counter* const ssd_worn = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "ssd-worn"}});
-  static obs::Counter* const affinity_hit = registry.counter(
-      "sponge.alloc.decisions", {{"reason", "affinity-hit"}});
-  if (reason == "pool-full") return pool_full;
-  if (reason == "ssd-full") return ssd_full;
-  if (reason == "ssd-worn") return ssd_worn;
-  if (reason == "tracker-stale") return tracker_stale;
-  if (reason == "tracker-down") return tracker_down;
-  if (reason == "rack-restricted") return rack_restricted;
-  if (reason == "server-sick") return server_sick;
-  if (reason == "rpc-timeout") return rpc_timeout;
-  return affinity_hit;
+obs::Counter* DecisionCounter(SpillReason reason) {
+  static const std::array<obs::Counter*, kNumSpillReasons> counters = [] {
+    std::array<obs::Counter*, kNumSpillReasons> out{};
+    for (size_t i = 0; i < kNumSpillReasons; ++i) {
+      out[i] = obs::Registry::Default().counter(
+          "sponge.alloc.decisions",
+          {{"reason", SpillReasonName(static_cast<SpillReason>(i))}});
+    }
+    return out;
+  }();
+  return counters[static_cast<size_t>(reason)];
 }
 
 // Remote-memory placements split by rack locality (the cross-rack rung).
+const char* LocalityName(bool cross_rack) {
+  return cross_rack ? "cross-rack" : "rack-local";
+}
+
 const MediumMetrics& RemoteLocalityMetricsFor(bool cross_rack) {
-  static obs::Registry& registry = obs::Registry::Default();
   static const MediumMetrics metrics[] = {
-      {registry.counter("sponge.spill.remote.bytes",
-                        {{"locality", "rack-local"}}),
-       registry.counter("sponge.spill.remote.chunks",
-                        {{"locality", "rack-local"}})},
-      {registry.counter("sponge.spill.remote.bytes",
-                        {{"locality", "cross-rack"}}),
-       registry.counter("sponge.spill.remote.chunks",
-                        {{"locality", "cross-rack"}})},
+      CounterPair("sponge.spill.remote", {{"locality", LocalityName(false)}}),
+      CounterPair("sponge.spill.remote", {{"locality", LocalityName(true)}}),
   };
   return metrics[cross_rack ? 1 : 0];
 }
@@ -129,40 +111,31 @@ obs::Counter* CorruptionCounter() {
 // a counter bump (cluster-wide and per-rack) plus, when tracing, an instant
 // event at the task's lane.
 void SpillDecision(SpongeEnv* env, const TaskContext* task,
-                   const char* reason) {
+                   SpillReason reason) {
   DecisionCounter(reason)->Increment();
   // The per-rack breakdown is what lets a tracker-shard outage be pinned
   // to its rack: only that rack's tracker-down count moves.
   obs::Registry::Default()
       .counter("sponge.spill.reason",
                {{"rack", std::to_string(env->cluster()->rack_of(task->node))},
-                {"reason", reason}})
+                {"reason", SpillReasonName(reason)}})
       ->Increment();
   obs::Tracer& tracer = obs::Tracer::Default();
   if (tracer.enabled()) {
-    tracer.InstantEvent(env->engine()->now(), task->node, task->task_id,
-                        "sponge", "spill.decision",
-                        {obs::TraceArg::Str("reason", reason)});
+    tracer.InstantEvent(
+        env->engine()->now(), task->node, task->task_id, "sponge",
+        "spill.decision",
+        {obs::TraceArg::Str("reason", SpillReasonName(reason))});
   }
+}
+
+// The reason a failed store or read RPC gives the cascade.
+SpillReason RpcFailureReason(const Status& status) {
+  return IsRpcTimeout(status) ? SpillReason::kRpcTimeout
+                              : SpillReason::kServerSick;
 }
 
 }  // namespace
-
-const char* ChunkLocationName(ChunkLocation location) {
-  switch (location) {
-    case ChunkLocation::kLocalMemory:
-      return "local-memory";
-    case ChunkLocation::kRemoteMemory:
-      return "remote-memory";
-    case ChunkLocation::kLocalSsd:
-      return "local-ssd";
-    case ChunkLocation::kLocalDisk:
-      return "local-disk";
-    case ChunkLocation::kDfs:
-      return "dfs";
-  }
-  return "?";
-}
 
 SpongeFile::SpongeFile(SpongeEnv* env, TaskContext* task, std::string name)
     : env_(env), task_(task), name_(std::move(name)) {}
@@ -298,24 +271,13 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
       if (!stored.ok()) {
         stored_locally = false;
         (void)local.LocalFree(*handle, owner);
-        SpillDecision(env_, task_,
-                      IsRpcTimeout(stored) ? "rpc-timeout" : "server-sick");
+        SpillDecision(env_, task_, RpcFailureReason(stored));
       }
     }
     if (stored_locally) {
-      record.location = ChunkLocation::kLocalMemory;
       record.node = task_->node;
       record.handle = *handle;
-      ++stats_.chunks_local_memory;
-      stats_.bytes_local_memory += record.size;
-      // Fragmentation is measured against the slot actually occupied: a
-      // small-class slot wastes class_bytes - size, not chunk_size - size.
-      stats_.fragmentation_bytes +=
-          local.pool().slot_bytes(*handle) - record.size;
-      MediumMetricsFor(ChunkLocation::kLocalMemory).bytes->Increment(
-          record.size);
-      MediumMetricsFor(ChunkLocation::kLocalMemory).chunks->Increment();
-      span.Arg("medium", std::string("local-memory"));
+      Commit(record, ChunkLocation::kLocalMemory, span);
       // A crash wipes the local pool even though (in this sim) the task
       // itself keeps running, so local-memory chunks want a replica too.
       if (config.replication.enabled) {
@@ -324,7 +286,7 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
       co_return Status::OK();
     }
   } else {
-    SpillDecision(env_, task_, "pool-full");
+    SpillDecision(env_, task_, SpillReason::kPoolFull);
   }
 
   // 2. Remote sponge memory: first the rack-local rung, then — only when
@@ -349,15 +311,13 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
                                                       chunk);
             });
         if (!stored.ok()) {
-          SpillDecision(env_, task_,
-                        IsRpcTimeout(stored) ? "rpc-timeout" : "server-sick");
+          SpillDecision(env_, task_, RpcFailureReason(stored));
           if (std::find(bounced_nodes_.begin(), bounced_nodes_.end(),
                         target) == bounced_nodes_.end()) {
             bounced_nodes_.push_back(target);
           }
           continue;
         }
-        record.location = ChunkLocation::kRemoteMemory;
         record.node = target;
         record.handle = remote_handle;
         if (std::find(task_->sponge_affinity.begin(),
@@ -365,24 +325,7 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
                       target) == task_->sponge_affinity.end()) {
           task_->sponge_affinity.push_back(target);
         }
-        ++stats_.chunks_remote_memory;
-        stats_.bytes_remote_memory += record.size;
-        if (cross_rack) {
-          ++stats_.chunks_remote_cross_rack;
-          stats_.bytes_remote_cross_rack += record.size;
-        }
-        stats_.fragmentation_bytes +=
-            env_->server(target).pool().slot_bytes(remote_handle) -
-            record.size;
-        MediumMetricsFor(ChunkLocation::kRemoteMemory).bytes->Increment(
-            record.size);
-        MediumMetricsFor(ChunkLocation::kRemoteMemory).chunks->Increment();
-        RemoteLocalityMetricsFor(cross_rack).bytes->Increment(record.size);
-        RemoteLocalityMetricsFor(cross_rack).chunks->Increment();
-        span.Arg("medium", std::string("remote-memory"));
-        span.Arg("locality", std::string(cross_rack ? "cross-rack"
-                                                    : "rack-local"));
-        span.Arg("node", static_cast<uint64_t>(target));
+        Commit(record, ChunkLocation::kRemoteMemory, span, cross_rack);
         if (config.replication.enabled) {
           co_await ReplicateChunk(index, std::move(replica_copy));
         }
@@ -395,79 +338,49 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
     co_return ResourceExhausted("no sponge memory available");
   }
 
-  // 3. Local SSD: the middle rung between remote memory and the spindle.
-  // Capacity is reserved up-front (released on Delete); a worn device
-  // whose program op fails just falls through to disk.
-  if (config.ssd_enabled) {
-    cluster::Node& self = env_->cluster()->node(task_->node);
-    if (self.has_ssd()) {
-      cluster::Ssd& ssd = self.ssd();
-      const uint64_t allowed = static_cast<uint64_t>(
-          config.ssd_max_used_fraction * static_cast<double>(ssd.capacity()));
-      if (ssd.used_bytes() + chunk.size() > allowed ||
-          !ssd.TryReserve(chunk.size())) {
-        SpillDecision(env_, task_, "ssd-full");
-      } else {
-        Status written = co_await ssd.Write(chunk.size());
-        if (written.ok()) {
-          record.location = ChunkLocation::kLocalSsd;
-          record.node = task_->node;
-          record.data = std::move(chunk);
-          ++stats_.chunks_local_ssd;
-          stats_.bytes_local_ssd += record.size;
-          MediumMetricsFor(ChunkLocation::kLocalSsd).bytes->Increment(
-              record.size);
-          MediumMetricsFor(ChunkLocation::kLocalSsd).chunks->Increment();
-          span.Arg("medium", std::string("local-ssd"));
-          co_return Status::OK();
-        }
-        ssd.Release(chunk.size());
-        SpillDecision(env_, task_, "ssd-worn");
+  // 3. Local SSD, on nodes that have one. Capacity is reserved up-front
+  // (released on Delete); a worn device whose program op fails just falls
+  // through to disk.
+  cluster::Node& self = env_->cluster()->node(task_->node);
+  if (self.has_ssd()) {
+    cluster::Ssd& ssd = self.ssd();
+    if (!ssd.TryReserve(chunk.size())) {
+      SpillDecision(env_, task_, SpillReason::kSsdFull);
+    } else {
+      Status written = co_await ssd.Write(chunk.size());
+      if (written.ok()) {
+        record.node = task_->node;
+        record.data = std::move(chunk);
+        Commit(record, ChunkLocation::kLocalSsd, span);
+        co_return Status::OK();
       }
+      ssd.Release(chunk.size());
+      SpillDecision(env_, task_, SpillReason::kSsdWorn);
     }
   }
 
-  // 4. Local disk, appending to the previous on-disk chunk when there is
-  // one so on-disk data stays contiguous and file-system metadata
-  // operations stay rare.
-  cluster::LocalFs& fs = env_->cluster()->node(task_->node).fs();
-  if (!chunks_.empty() && index > 0 &&
-      chunks_[index - 1].location == ChunkLocation::kLocalDisk) {
-    ChunkRecord& prev = chunks_[index - 1];
-    Status appended = co_await fs.Append(prev.fs_file, chunk.size());
+  // 4. Local disk, appending to the previous chunk's file when that chunk
+  // is on disk too, so on-disk data stays contiguous and file-system
+  // metadata operations stay rare; otherwise a new file.
+  cluster::LocalFs& fs = self.fs();
+  const ChunkRecord* prev =
+      index > 0 && chunks_[index - 1].location == ChunkLocation::kLocalDisk
+          ? &chunks_[index - 1]
+          : nullptr;
+  Result<uint64_t> file =
+      prev != nullptr ? Result<uint64_t>(prev->fs_file)
+                      : fs.Create(name_ + ".spill" + std::to_string(index));
+  if (file.ok()) {
+    Status appended = co_await fs.Append(*file, chunk.size());
     if (appended.ok()) {
-      record.location = ChunkLocation::kLocalDisk;
-      record.fs_file = prev.fs_file;
-      record.offset = prev.offset + prev.size;
+      record.fs_file = *file;
+      record.offset = prev != nullptr ? prev->offset + prev->size : 0;
+      if (prev == nullptr) ++stats_.disk_files;
       record.data = std::move(chunk);
-      ++stats_.chunks_local_disk;
-      stats_.bytes_local_disk += record.size;
-      MediumMetricsFor(ChunkLocation::kLocalDisk).bytes->Increment(
-          record.size);
-      MediumMetricsFor(ChunkLocation::kLocalDisk).chunks->Increment();
-      span.Arg("medium", std::string("local-disk"));
+      Commit(record, ChunkLocation::kLocalDisk, span);
       co_return Status::OK();
     }
-  } else {
-    auto file = fs.Create(name_ + ".spill" + std::to_string(index));
-    if (file.ok()) {
-      Status appended = co_await fs.Append(*file, chunk.size());
-      if (appended.ok()) {
-        record.location = ChunkLocation::kLocalDisk;
-        record.fs_file = *file;
-        record.offset = 0;
-        record.data = std::move(chunk);
-        ++stats_.chunks_local_disk;
-        ++stats_.disk_files;
-        stats_.bytes_local_disk += record.size;
-        MediumMetricsFor(ChunkLocation::kLocalDisk).bytes->Increment(
-            record.size);
-        MediumMetricsFor(ChunkLocation::kLocalDisk).chunks->Increment();
-        span.Arg("medium", std::string("local-disk"));
-        co_return Status::OK();
-      }
-      (void)fs.Delete(*file);
-    }
+    if (prev == nullptr) (void)fs.Delete(*file);
   }
 
   // 5. The distributed filesystem, as a last resort.
@@ -476,31 +389,53 @@ sim::Task<Status> SpongeFile::StoreIntoRecord(size_t index, ByteRuns chunk) {
       co_await env_->dfs()->AppendBlock(record.dfs_name, task_->node,
                                         chunk.size());
   if (!stored.ok()) co_return stored;
-  record.location = ChunkLocation::kDfs;
   record.data = std::move(chunk);
-  ++stats_.chunks_dfs;
-  stats_.bytes_dfs += record.size;
-  MediumMetricsFor(ChunkLocation::kDfs).bytes->Increment(record.size);
-  MediumMetricsFor(ChunkLocation::kDfs).chunks->Increment();
-  span.Arg("medium", std::string("dfs"));
+  Commit(record, ChunkLocation::kDfs, span);
+  co_return Status::OK();
+}
+
+void SpongeFile::Commit(ChunkRecord& record, ChunkLocation where,
+                        obs::SpanGuard<sim::Engine>& span, bool cross_rack) {
+  record.location = where;
+  stats_.ledger.Record(where, record.size, cross_rack);
+  if (where == ChunkLocation::kLocalMemory ||
+      where == ChunkLocation::kRemoteMemory) {
+    // Fragmentation is measured against the slot actually occupied: a
+    // small-class slot wastes class_bytes - size, not chunk_size - size.
+    stats_.fragmentation_bytes +=
+        env_->server(record.node).pool().slot_bytes(record.handle) -
+        record.size;
+  }
+  MediumMetricsFor(where).bytes->Increment(record.size);
+  MediumMetricsFor(where).chunks->Increment();
+  span.Arg("medium", std::string(ChunkLocationName(where)));
+  if (where == ChunkLocation::kRemoteMemory) {
+    RemoteLocalityMetricsFor(cross_rack).bytes->Increment(record.size);
+    RemoteLocalityMetricsFor(cross_rack).chunks->Increment();
+    span.Arg("locality", std::string(LocalityName(cross_rack)));
+    span.Arg("node", static_cast<uint64_t>(record.node));
+  }
+}
+
+sim::Task<Status> SpongeFile::LoadFreeList() {
+  Result<std::vector<FreeSpaceEntry>> list =
+      co_await env_->tracker().Query(task_->node);
+  free_list_loaded_ = true;
+  if (!list.ok()) {
+    free_list_.clear();
+    co_return list.status();
+  }
+  free_list_ = std::move(*list);
   co_return Status::OK();
 }
 
 sim::Task<Result<std::pair<size_t, ChunkHandle>>>
 SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
   const SpongeConfig& config = env_->config();
-  if (!free_list_loaded_) {
-    Result<std::vector<FreeSpaceEntry>> list =
-        co_await env_->tracker().Query(task_->node);
-    if (list.ok()) {
-      free_list_ = std::move(*list);
-    } else {
-      // The tracker is an optimization, not a dependency: with no free
-      // list we can still try affinity nodes, and otherwise fall to disk.
-      SpillDecision(env_, task_, "tracker-down");
-      free_list_.clear();
-    }
-    free_list_loaded_ = true;
+  // The tracker is an optimization, not a dependency: with no free list we
+  // can still try affinity nodes, and otherwise fall to disk.
+  if (!free_list_loaded_ && !(co_await LoadFreeList()).ok()) {
+    SpillDecision(env_, task_, SpillReason::kTrackerDown);
   }
 
   // Each pass walks one locality rung: the rack-local pass only considers
@@ -513,7 +448,7 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
       // An off-rack candidate skipped with no cross-rack rung to catch it
       // later is the paper's rack restriction biting.
       if (!cross_rack && !config.allow_cross_rack) {
-        SpillDecision(env_, task_, "rack-restricted");
+        SpillDecision(env_, task_, SpillReason::kRackRestricted);
       }
       return false;
     }
@@ -549,16 +484,12 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
         bounced_nodes_.end()) {
       continue;
     }
-    // Size-class-aware gate: the slot this chunk will occupy on the
-    // candidate, so a full-size chunk skips servers whose bulk level is
-    // exhausted even when their small classes still advertise free bytes.
-    const uint64_t need =
-        env_->server(node).pool().class_bytes_for(bytes);
+    // Any advertised free space is worth an allocation attempt, as long as
+    // it includes a slot of this chunk's size class.
     FreeSpaceEntry* estimate = estimate_of(node);
     if (estimate != nullptr &&
-        (estimate->free_bytes == 0 ||
-         (need >= env_->config().chunk_size &&
-          estimate->free_bulk_bytes < need))) {
+        !HasRoomFor(*estimate, env_->server(node).pool(), bytes,
+                    /*floor=*/1)) {
       continue;
     }
     // Circuit breaker: a server with an open breaker is skipped (but not
@@ -566,7 +497,7 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
     // An AllowRequest "true" on an open breaker is the half-open probe;
     // the HardenedCall below always settles it via RecordSuccess/Failure.
     if (!env_->health().AllowRequest(node)) {
-      SpillDecision(env_, task_, "server-sick");
+      SpillDecision(env_, task_, SpillReason::kServerSick);
       continue;
     }
     Result<ChunkHandle> handle = co_await HardenedCall<Result<ChunkHandle>>(
@@ -589,7 +520,7 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
           std::find(task_->sponge_affinity.begin(),
                     task_->sponge_affinity.end(),
                     node) != task_->sponge_affinity.end()) {
-        SpillDecision(env_, task_, "affinity-hit");
+        SpillDecision(env_, task_, SpillReason::kAffinityHit);
       }
       co_return std::make_pair(node, *handle);
     }
@@ -602,13 +533,10 @@ SpongeFile::AllocateRemote(bool cross_rack, uint64_t bytes) {
     ++stats_.stale_list_retries;
     stale_retries_counter->Increment();
     const Status& why = handle.status();
-    if (IsRpcTimeout(why)) {
-      SpillDecision(env_, task_, "rpc-timeout");
-    } else if (why.code() == StatusCode::kUnavailable) {
-      SpillDecision(env_, task_, "server-sick");
-    } else {
-      SpillDecision(env_, task_, "tracker-stale");
-    }
+    const bool rpc_failed =
+        IsRpcTimeout(why) || why.code() == StatusCode::kUnavailable;
+    SpillDecision(env_, task_, rpc_failed ? RpcFailureReason(why)
+                                          : SpillReason::kTrackerStale);
     if (estimate != nullptr) {
       estimate->free_bytes = 0;
       estimate->free_bulk_bytes = 0;
@@ -637,8 +565,7 @@ sim::Task<Status> SpongeFile::Close() {
 sim::Task<Result<ByteRuns>> SpongeFile::FetchChunk(size_t index) {
   Result<ByteRuns> fetched = co_await FetchChunkRaw(index);
   const SpongeConfig& config = env_->config();
-  if (fetched.ok() && config.verify_checksums &&
-      fetched->Checksum64() != chunks_[index].checksum) {
+  if (fetched.ok() && fetched->Checksum64() != chunks_[index].checksum) {
     // Bit rot, a stolen pool slot, a buggy server — whatever happened,
     // the chunk is gone. Surface it as lost (UNAVAILABLE) so failover —
     // and failing that, the framework's task retry — regenerates it;
@@ -678,53 +605,15 @@ sim::Task<> SpongeFile::ReplicateChunk(size_t index, ByteRuns chunk) {
   const SpongeConfig& config = env_->config();
 
   // Pressure gate and candidate list both come from the same tracker
-  // snapshot the cascade uses, so replication never queries twice.
-  if (!free_list_loaded_) {
-    Result<std::vector<FreeSpaceEntry>> list =
-        co_await env_->tracker().Query(task_->node);
-    if (list.ok()) {
-      free_list_ = std::move(*list);
-    } else {
-      free_list_.clear();
-    }
-    free_list_loaded_ = true;
-  }
-
-  // Candidate order: rack-diverse servers first (a whole-rack failure —
-  // the switch, a PDU — then still leaves one copy), same-rack as the
-  // fallback pass. The pressure gate keeps replication from competing
-  // with foreground spills: a server must advertise at least
-  // min_free_fraction of its pool free, so replicas only consume slack.
-  const size_t primary_rack = env_->cluster()->rack_of(record.node);
-  std::vector<size_t> candidates;
-  const int passes = config.replication.prefer_rack_diverse ? 2 : 1;
-  for (int pass = 0; pass < passes; ++pass) {
-    for (const FreeSpaceEntry& entry : free_list_) {
-      if (entry.node == record.node || entry.node == task_->node) continue;
-      if (std::find(bounced_nodes_.begin(), bounced_nodes_.end(),
-                    entry.node) != bounced_nodes_.end()) {
-        continue;
-      }
-      if (config.replication.prefer_rack_diverse) {
-        const bool diverse =
-            env_->cluster()->rack_of(entry.node) != primary_rack;
-        if ((pass == 0) != diverse) continue;
-      }
-      ChunkPool& pool = env_->server(entry.node).pool();
-      const uint64_t capacity = pool.total_chunks() * config.chunk_size;
-      const uint64_t min_free = static_cast<uint64_t>(
-          config.replication.min_free_fraction * capacity);
-      // Size-class-aware placement: gate on the slot this replica will
-      // actually occupy, so a small chunk's copy still fits on servers
-      // whose bulk level is under pressure.
-      const uint64_t need = pool.class_bytes_for(record.size);
-      if (entry.free_bytes < min_free || entry.free_bytes < need ||
-          (need >= config.chunk_size && entry.free_bulk_bytes < need)) {
-        continue;
-      }
-      candidates.push_back(entry.node);
-    }
-  }
+  // snapshot the cascade uses, so replication never queries twice. A
+  // failed query leaves no candidates: the chunk stays single-copy.
+  if (!free_list_loaded_) (void)co_await LoadFreeList();
+  const std::vector<size_t> candidates = CopyTargets(
+      env_, free_list_, record.node, record.size, [this](size_t node) {
+        return node == task_->node ||
+               std::find(bounced_nodes_.begin(), bounced_nodes_.end(),
+                         node) != bounced_nodes_.end();
+      });
 
   obs::SpanGuard span(&obs::Tracer::Default(), env_->engine(), task_->node,
                       task_->task_id, "sponge", "chunk.replicate");
@@ -787,7 +676,6 @@ sim::Task<> SpongeFile::ReplicateChunk(size_t index, ByteRuns chunk) {
 
 sim::Task<Result<ByteRuns>> SpongeFile::FetchFromReplica(size_t index) {
   ChunkRecord& record = chunks_[index];
-  const SpongeConfig& config = env_->config();
   const ReplicatedChunk* entry = env_->replicas().Find(record.replica_id);
   if (entry == nullptr) {
     co_return Unavailable("replica directory entry gone");
@@ -798,38 +686,51 @@ sim::Task<Result<ByteRuns>> SpongeFile::FetchFromReplica(size_t index) {
     if (location.node == record.node && location.handle == record.handle) {
       continue;  // the copy that just failed
     }
-    SpongeServer& server = env_->server(location.node);
-    if (!server.alive()) continue;
+    if (!env_->server(location.node).alive()) continue;
     if (!env_->health().AllowRequest(location.node)) continue;
-    // Named locals: factory captures must be trivially destructible — see
-    // rpc_client.h.
-    const ChunkHandle slot = location.handle;
-    const ChunkOwner owner = location.owner;
-    Result<ByteRuns> fetched{ByteRuns{}};
-    if (config.rpc.hedge_reads) {
-      fetched = co_await HedgedCall<Result<ByteRuns>>(
-          env_->engine(), &env_->health(), config.rpc, location.node,
-          [this, &server, slot, owner] {
-            return server.RemoteRead(task_->node, slot, owner);
-          });
-    } else {
-      fetched = co_await HardenedCall<Result<ByteRuns>>(
-          env_->engine(), &env_->health(), config.rpc, &env_->rpc_rng(),
-          location.node, [this, &server, slot, owner] {
-            return server.RemoteRead(task_->node, slot, owner);
-          });
-    }
+    Result<ByteRuns> fetched =
+        co_await ReadRemote(location.node, location.handle, location.owner);
     if (!fetched.ok()) continue;
     // The replica is verified independently of the primary read: a
     // corrupted primary must not be "rescued" by an equally bad copy.
-    if (config.verify_checksums &&
-        fetched->Checksum64() != record.checksum) {
+    if (fetched->Checksum64() != record.checksum) {
       CorruptionCounter()->Increment();
       continue;
     }
     co_return fetched;
   }
   co_return Unavailable("all replica copies lost");
+}
+
+sim::Task<Result<ByteRuns>> SpongeFile::ReadRemote(size_t node,
+                                                   ChunkHandle slot,
+                                                   ChunkOwner owner) {
+  // Not a coroutine itself: it hands back the call's task, so the read
+  // costs no extra frame.
+  const RpcPolicy& rpc = env_->config().rpc;
+  SpongeServer& server = env_->server(node);
+  auto read = [this, &server, slot, owner] {
+    return server.RemoteRead(task_->node, slot, owner);
+  };
+  if (rpc.hedge_reads) {
+    // Hedged read: a duplicate races the slow copy under the loose
+    // hedge_deadline instead of deadline-retrying into the breaker — a
+    // slow-but-honest server still loses only latency, not chunks.
+    return HedgedCall<Result<ByteRuns>>(env_->engine(), &env_->health(), rpc,
+                                        node, read);
+  }
+  return HardenedCall<Result<ByteRuns>>(env_->engine(), &env_->health(), rpc,
+                                        &env_->rpc_rng(), node, read);
+}
+
+sim::Task<> SpongeFile::FreeRemote(size_t node, ChunkHandle slot,
+                                   ChunkOwner owner) {
+  SpongeServer& server = env_->server(node);
+  if (!server.alive() || env_->health().IsOpen(node)) co_return;
+  // Named local, not a temporary argument (see rpc_client.h).
+  sim::Task<Status> free_op = server.RemoteFree(task_->node, slot, owner);
+  (void)co_await CallWithDeadline<Status>(
+      env_->engine(), env_->config().rpc.deadline, std::move(free_op));
 }
 
 uint64_t SpongeFile::ChunkNonce(size_t index) const {
@@ -875,26 +776,11 @@ sim::Task<Result<ByteRuns>> SpongeFile::FetchChunkRaw(size_t index) {
       // Breaker gate: a known-sick server is not worth the deadline wait —
       // report the chunk lost so the framework's retry kicks in.
       if (!env_->health().AllowRequest(record.node)) {
-        SpillDecision(env_, task_, "server-sick");
+        SpillDecision(env_, task_, SpillReason::kServerSick);
         co_return Unavailable("sponge server circuit open");
       }
-      Result<ByteRuns> fetched{ByteRuns{}};
-      if (config.rpc.hedge_reads) {
-        // Hedged read: a duplicate races the slow copy under the loose
-        // hedge_deadline instead of deadline-retrying into the breaker —
-        // a slow-but-honest server still loses only latency, not chunks.
-        fetched = co_await HedgedCall<Result<ByteRuns>>(
-            env_->engine(), &env_->health(), config.rpc, record.node,
-            [this, &server, &record, &owner] {
-              return server.RemoteRead(task_->node, record.handle, owner);
-            });
-      } else {
-        fetched = co_await HardenedCall<Result<ByteRuns>>(
-            env_->engine(), &env_->health(), config.rpc, &env_->rpc_rng(),
-            record.node, [this, &server, &record, &owner] {
-              return server.RemoteRead(task_->node, record.handle, owner);
-            });
-      }
+      Result<ByteRuns> fetched =
+          co_await ReadRemote(record.node, record.handle, owner);
       if (!fetched.ok() &&
           fetched.status().code() != StatusCode::kUnavailable) {
         // FAILED_PRECONDITION / NOT_FOUND from the server means our slot
@@ -989,18 +875,7 @@ sim::Task<> SpongeFile::Delete() {
         (void)env_->server(record.node).LocalFree(record.handle, owner);
         break;
       case ChunkLocation::kRemoteMemory:
-        // Best effort, one attempt under deadline, and none at all for
-        // dead or breaker-open servers: the GC sweep is the backstop for
-        // anything a free misses.
-        if (env_->server(record.node).alive() &&
-            !env_->health().IsOpen(record.node)) {
-          // Named local, not a temporary argument (see rpc_client.h).
-          sim::Task<Status> free_op = env_->server(record.node)
-              .RemoteFree(task_->node, record.handle, owner);
-          (void)co_await CallWithDeadline<Status>(
-              env_->engine(), env_->config().rpc.deadline,
-              std::move(free_op));
-        }
+        co_await FreeRemote(record.node, record.handle, owner);
         break;
       case ChunkLocation::kLocalSsd:
         env_->cluster()->node(task_->node).ssd().Release(record.size);
@@ -1025,7 +900,7 @@ sim::Task<> SpongeFile::Delete() {
     if (record.replica_id != 0) {
       // Free the extra copies (the primary was handled above) and drop the
       // directory entry so repair stops maintaining it. Best effort like
-      // the primary frees: GC is the backstop.
+      // the primary frees.
       const ReplicatedChunk* entry = env_->replicas().Find(record.replica_id);
       if (entry != nullptr) {
         const std::vector<ReplicaLocation> locations = entry->locations;
@@ -1039,16 +914,7 @@ sim::Task<> SpongeFile::Delete() {
                                                         location.owner);
             continue;
           }
-          if (!env_->server(location.node).alive() ||
-              env_->health().IsOpen(location.node)) {
-            continue;
-          }
-          // Named local, not a temporary argument (see rpc_client.h).
-          sim::Task<Status> free_op = env_->server(location.node)
-              .RemoteFree(task_->node, location.handle, location.owner);
-          (void)co_await CallWithDeadline<Status>(
-              env_->engine(), env_->config().rpc.deadline,
-              std::move(free_op));
+          co_await FreeRemote(location.node, location.handle, location.owner);
         }
       }
       env_->replicas().Forget(record.replica_id);

@@ -8,22 +8,13 @@
 
 #include "common/byte_runs.h"
 #include "common/status.h"
+#include "obs/trace.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "sponge/placement.h"
 #include "sponge/sponge_env.h"
 
 namespace spongefiles::sponge {
-
-// Where a chunk ended up in the allocation cascade.
-enum class ChunkLocation {
-  kLocalMemory,
-  kRemoteMemory,
-  kLocalSsd,
-  kLocalDisk,
-  kDfs,
-};
-
-const char* ChunkLocationName(ChunkLocation location);
 
 // A SpongeFile: the paper's distributed-memory spill target. A logical
 // byte array with exactly one writer and one reader, written once front to
@@ -31,9 +22,9 @@ const char* ChunkLocationName(ChunkLocation location);
 // placed by the cascade: local sponge memory -> remote sponge memory on
 // the same rack (servers already hosting this task's chunks first) ->
 // remote sponge memory across racks (only when allow_cross_rack is set) ->
-// the node's local SSD (when present and SpongeConfig::ssd_enabled) ->
-// local disk (coalescing consecutive disk chunks into one growing file) ->
-// the distributed filesystem as the last resort.
+// the node's local SSD (when it has one) -> local disk (coalescing
+// consecutive disk chunks into one growing file) -> the distributed
+// filesystem as the last resort.
 //
 // Reads prefetch the next non-local-memory chunk and writes to non-local
 // media are asynchronous (one outstanding store), overlapping IO with the
@@ -43,22 +34,9 @@ class SpongeFile {
  public:
   struct Stats {
     uint64_t bytes_written = 0;
-    uint64_t chunks_local_memory = 0;
-    uint64_t chunks_remote_memory = 0;
-    uint64_t chunks_local_ssd = 0;
-    uint64_t chunks_local_disk = 0;   // coalesced count: appends, not files
-    uint64_t chunks_dfs = 0;
-    // Logical bytes stored on each medium; the sum equals bytes_written
-    // once the file is closed.
-    uint64_t bytes_local_memory = 0;
-    uint64_t bytes_remote_memory = 0;
-    uint64_t bytes_local_ssd = 0;
-    uint64_t bytes_local_disk = 0;
-    uint64_t bytes_dfs = 0;
-    // Cross-rack subset of the remote-memory totals above (the cascade's
-    // third rung; zero unless SpongeConfig::allow_cross_rack).
-    uint64_t chunks_remote_cross_rack = 0;
-    uint64_t bytes_remote_cross_rack = 0;
+    // Chunks and logical bytes per medium; the byte tallies sum to
+    // bytes_written once the file is closed.
+    PlacementLedger ledger;
     uint64_t disk_files = 0;
     uint64_t stale_list_retries = 0;  // allocation attempts that bounced
     // Replication: memory chunks that got a second copy, the logical bytes
@@ -70,10 +48,6 @@ class SpongeFile {
     // Memory occupied by in-memory chunk slots beyond the logical bytes
     // stored in them (internal fragmentation, paper section 4.2.3).
     uint64_t fragmentation_bytes = 0;
-    uint64_t total_chunks() const {
-      return chunks_local_memory + chunks_remote_memory + chunks_local_ssd +
-             chunks_local_disk + chunks_dfs;
-    }
   };
 
   // `name` must be unique per task (it names disk spill files).
@@ -112,6 +86,7 @@ class SpongeFile {
 
   uint64_t size() const { return size_; }
   const Stats& stats() const { return stats_; }
+  const PlacementLedger& ledger() const { return stats_.ledger; }
   const std::string& name() const { return name_; }
 
   // Chunk placement summary, in write order (tests and diagnostics).
@@ -147,6 +122,16 @@ class SpongeFile {
   // The store cascade; returns the record index it stored into.
   sim::Task<Status> StoreIntoRecord(size_t index, ByteRuns chunk);
 
+  // The tail every cascade rung ends with, once the rung has set the
+  // record's medium-specific fields: stamps `where`, records it in the
+  // ledger and the registry counters, and tags the store span.
+  void Commit(ChunkRecord& record, ChunkLocation where,
+              obs::SpanGuard<sim::Engine>& span, bool cross_rack = false);
+
+  // Loads the working copy of the tracker's free list (callers check
+  // free_list_loaded_ first); a failed query leaves it empty.
+  sim::Task<Status> LoadFreeList();
+
   // Walks the candidate servers (affinity nodes first, then the tracker's
   // free list) issuing allocation RPCs until one succeeds; NOT_FOUND when
   // every candidate is full or ineligible. Bounced attempts (stale list)
@@ -177,6 +162,15 @@ class SpongeFile {
   // Reads the surviving copy of a replicated chunk, checksum-verified
   // independently of the primary read.
   sim::Task<Result<ByteRuns>> FetchFromReplica(size_t index);
+
+  // One read of a memory chunk held by sponge server `node`: hedged when
+  // RpcPolicy::hedge_reads is set, hardened (deadline + retries) otherwise.
+  sim::Task<Result<ByteRuns>> ReadRemote(size_t node, ChunkHandle slot,
+                                         ChunkOwner owner);
+
+  // Best-effort free: one attempt under the RPC deadline, none for a dead
+  // or breaker-open server; the servers' GC is the backstop.
+  sim::Task<> FreeRemote(size_t node, ChunkHandle slot, ChunkOwner owner);
 
   // Deterministic per-chunk cipher nonce.
   uint64_t ChunkNonce(size_t index) const;

@@ -221,7 +221,7 @@ TEST(JobTest, SkewedReduceSpillsWithTinyHeap) {
   ASSERT_NE(straggler, nullptr);
   EXPECT_EQ(straggler->input_records, 1200u);
   EXPECT_GT(straggler->spill.bytes_spilled, MiB(10));
-  EXPECT_EQ(straggler->spill.sponge_chunks, 0u);
+  EXPECT_EQ(straggler->spill.sponge.total_chunks(), 0u);
   // Output correct despite spilling.
   ASSERT_EQ(result->output.size(), 1u);
   EXPECT_EQ(result->output[0].number, 2 * (599.0 * 600.0 / 2));
@@ -248,7 +248,7 @@ TEST(JobTest, SpongeModeUsesSpongeChunks) {
   auto result = f.RunJob(std::move(config));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const TaskStats* straggler = result->straggler();
-  EXPECT_GT(straggler->spill.sponge_chunks, 10u);
+  EXPECT_GT(straggler->spill.sponge.total_chunks(), 10u);
   ASSERT_EQ(result->output.size(), 1u);
   EXPECT_EQ(result->output[0].number, 1200);
 }

@@ -111,8 +111,9 @@ TEST(SpillFileTest, SpongeSpillRoundTripAndStats) {
   EXPECT_EQ(got.size(), 1000u);
   EXPECT_EQ(spiller.stats().bytes_spilled, 1000u * 5000);
   // ~5 MB through 1 MB chunks.
-  EXPECT_EQ(spiller.stats().sponge_chunks, 5u);
-  EXPECT_GT(spiller.stats().sponge_chunks_local, 0u);
+  EXPECT_EQ(spiller.stats().sponge.total_chunks(), 5u);
+  EXPECT_GT(
+      spiller.stats().sponge[sponge::ChunkLocation::kLocalMemory].chunks, 0u);
   // Everything freed after Done().
   EXPECT_EQ(f.env->server(0).free_bytes(), MiB(8));
 }

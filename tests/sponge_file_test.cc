@@ -12,6 +12,7 @@
 #include "common/units.h"
 #include "sim/engine.h"
 #include "sponge/sponge_env.h"
+#include "spill_counters.h"
 
 namespace spongefiles::sponge {
 namespace {
@@ -101,12 +102,13 @@ TEST(SpongeFileTest, SmallFileUsesLocalMemory) {
   auto placements = file.ChunkPlacements();
   ASSERT_EQ(placements.size(), 2u);
   for (auto p : placements) EXPECT_EQ(p, ChunkLocation::kLocalMemory);
-  EXPECT_EQ(file.stats().chunks_local_memory, 2u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalMemory].chunks, 2u);
 }
 
 TEST(SpongeFileTest, OverflowSpillsToRemoteMemory) {
   SpongeFixture f;  // 4 MB local pool
   SpongeFile file(f.env.get(), &f.task, "remote");
+  const SpillCounters before = ReadSpillCounters();
   auto run = [&]() -> sim::Task<> {
     ByteRuns data;
     data.AppendZeros(MiB(6));
@@ -115,9 +117,10 @@ TEST(SpongeFileTest, OverflowSpillsToRemoteMemory) {
   };
   f.engine.Spawn(run());
   f.engine.Run();
-  EXPECT_EQ(file.stats().chunks_local_memory, 4u);
-  EXPECT_EQ(file.stats().chunks_remote_memory, 2u);
-  EXPECT_EQ(file.stats().chunks_local_disk, 0u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalMemory].chunks, 4u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kRemoteMemory].chunks, 2u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalDisk].chunks, 0u);
+  ExpectCountersMatchLedger(before, file.ledger());
 }
 
 TEST(SpongeFileTest, FullRackFallsBackToDiskThenDfs) {
@@ -146,10 +149,10 @@ TEST(SpongeFileTest, FullRackFallsBackToDiskThenDfs) {
   f.engine.Spawn(run());
   f.engine.Run();
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(file.stats().chunks_local_memory, 0u);
-  EXPECT_EQ(file.stats().chunks_remote_memory, 0u);
-  EXPECT_EQ(file.stats().chunks_local_disk, 2u);
-  EXPECT_EQ(file.stats().chunks_dfs, 3u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalMemory].chunks, 0u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kRemoteMemory].chunks, 0u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalDisk].chunks, 2u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kDfs].chunks, 3u);
 }
 
 TEST(SpongeFileTest, ConsecutiveDiskChunksCoalesceIntoOneFile) {
@@ -165,7 +168,7 @@ TEST(SpongeFileTest, ConsecutiveDiskChunksCoalesceIntoOneFile) {
   };
   f.engine.Spawn(run());
   f.engine.Run();
-  EXPECT_EQ(file.stats().chunks_local_disk, 5u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalDisk].chunks, 5u);
   EXPECT_EQ(file.stats().disk_files, 1u);
   EXPECT_EQ(f.cluster_->node(0).fs().file_count(), 1u);
 }
@@ -202,7 +205,7 @@ TEST(SpongeFileTest, AffinityPrefersServersAlreadyHoldingChunks) {
   };
   f.engine.Spawn(run());
   f.engine.Run();
-  EXPECT_EQ(file.stats().chunks_remote_memory, 6u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kRemoteMemory].chunks, 6u);
   // Affinity keeps the remote chunks on as few machines as possible:
   // 6 chunks over 2 MB pools = exactly 3 distinct remote nodes.
   std::set<size_t> remote_nodes;
@@ -231,8 +234,8 @@ TEST(SpongeFileTest, RackRestrictionKeepsChunksOnRack) {
   f.engine.Spawn(run());
   f.engine.Run();
   // 2 local, 2 remote on node 1, rest must go to disk (not off-rack).
-  EXPECT_EQ(file.stats().chunks_remote_memory, 2u);
-  EXPECT_EQ(file.stats().chunks_local_disk, 4u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kRemoteMemory].chunks, 2u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalDisk].chunks, 4u);
   EXPECT_TRUE(f.env->server(2).pool().AllocatedChunks().empty());
   EXPECT_TRUE(f.env->server(3).pool().AllocatedChunks().empty());
 }
@@ -250,8 +253,8 @@ TEST(SpongeFileTest, CrossRackAllowedWhenUnrestricted) {
   };
   f.engine.Spawn(run());
   f.engine.Run();
-  EXPECT_EQ(file.stats().chunks_remote_memory, 6u);
-  EXPECT_EQ(file.stats().chunks_local_disk, 0u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kRemoteMemory].chunks, 6u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalDisk].chunks, 0u);
 }
 
 TEST(SpongeFileTest, StaleFreeListRetriesThenDisk) {
@@ -274,7 +277,7 @@ TEST(SpongeFileTest, StaleFreeListRetriesThenDisk) {
   f.engine.Spawn(run());
   f.engine.Run();
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(file.stats().chunks_local_disk, 2u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalDisk].chunks, 2u);
   EXPECT_GT(file.stats().stale_list_retries, 0u);
 }
 
@@ -381,7 +384,7 @@ TEST(SpongeFileTest, FragmentationOnlyFromFinalPartialChunk) {
   f.engine.Spawn(run());
   f.engine.Run();
   // 4 chunks; only the last one (700 KB in a 1 MB slot) wastes memory.
-  EXPECT_EQ(file.stats().total_chunks(), 4u);
+  EXPECT_EQ(file.ledger().total_chunks(), 4u);
   EXPECT_EQ(file.stats().fragmentation_bytes, MiB(1) - 700 * kKiB);
   // Well below 1% would need a bigger file; check the ratio bound holds
   // for a 100 MB spill instead.
@@ -459,7 +462,7 @@ TEST(SpongeFileTest, StatsCountBytes) {
   f.engine.Run();
   EXPECT_EQ(file.stats().bytes_written, MiB(2) + 17);
   EXPECT_EQ(file.size(), MiB(2) + 17);
-  EXPECT_EQ(file.stats().total_chunks(), 3u);
+  EXPECT_EQ(file.ledger().total_chunks(), 3u);
 }
 
 }  // namespace

@@ -103,7 +103,7 @@ size_t WriteRemote(HedgeFixture* f, SpongeFile* file,
   f->engine.Spawn(write());
   f->engine.Run();
   EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_GT(file->stats().chunks_remote_memory, 0u);
+  EXPECT_GT(file->ledger()[ChunkLocation::kRemoteMemory].chunks, 0u);
   return f->RemoteHost(f->task.task_id);
 }
 

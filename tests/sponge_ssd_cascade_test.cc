@@ -1,7 +1,7 @@
 // The cascade's SSD rung (ISSUE 10): with a local SSD configured, a
 // SpongeFile fills local memory -> remote memory -> SSD -> disk in that
 // order, round-trips bytes exactly, releases its SSD reservations on
-// delete, respects the ssd_max_used_fraction headroom gate, and degrades
+// delete, leaves other consumers' reservations alone, and degrades
 // gracefully under the two gray failures — a slowed SSD just takes
 // longer, a worn one (writes fail, reads still work) drains while new
 // chunks fall through to disk.
@@ -21,6 +21,7 @@
 #include "sim/engine.h"
 #include "sponge/failure.h"
 #include "sponge/sponge_env.h"
+#include "spill_counters.h"
 
 namespace spongefiles::sponge {
 namespace {
@@ -81,6 +82,7 @@ std::string RandomData(size_t n, uint64_t seed) {
 TEST(SpongeSsdCascadeTest, FillsLocalMemoryThenSsdThenDisk) {
   SsdFixture f;  // 2 MiB memory, 2 MiB SSD
   SpongeFile file(f.env.get(), &f.task, "cascade");
+  const SpillCounters before = ReadSpillCounters();
   f.WriteAndClose(&file, MiB(6));
   auto placements = file.ChunkPlacements();
   ASSERT_EQ(placements.size(), 6u);
@@ -90,10 +92,11 @@ TEST(SpongeSsdCascadeTest, FillsLocalMemoryThenSsdThenDisk) {
   EXPECT_EQ(placements[3], ChunkLocation::kLocalSsd);
   EXPECT_EQ(placements[4], ChunkLocation::kLocalDisk);
   EXPECT_EQ(placements[5], ChunkLocation::kLocalDisk);
-  EXPECT_EQ(file.stats().chunks_local_ssd, 2u);
-  EXPECT_EQ(file.stats().bytes_local_ssd, MiB(2));
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalSsd].chunks, 2u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalSsd].bytes, MiB(2));
   EXPECT_EQ(f.ssd().used_bytes(), MiB(2));
   EXPECT_EQ(f.ssd().writes(), 2u);
+  ExpectCountersMatchLedger(before, file.ledger());
 }
 
 TEST(SpongeSsdCascadeTest, SsdComesAfterRemoteMemory) {
@@ -103,10 +106,10 @@ TEST(SpongeSsdCascadeTest, SsdComesAfterRemoteMemory) {
                /*sponge_per_node=*/MiB(2), /*num_nodes=*/2);
   SpongeFile file(f.env.get(), &f.task, "order");
   f.WriteAndClose(&file, MiB(6));
-  EXPECT_EQ(file.stats().chunks_local_memory, 2u);
-  EXPECT_EQ(file.stats().chunks_remote_memory, 2u);
-  EXPECT_EQ(file.stats().chunks_local_ssd, 2u);
-  EXPECT_EQ(file.stats().chunks_local_disk, 0u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalMemory].chunks, 2u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kRemoteMemory].chunks, 2u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalSsd].chunks, 2u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalDisk].chunks, 0u);
 }
 
 TEST(SpongeSsdCascadeTest, RoundTripThroughSsdPreservesBytes) {
@@ -136,7 +139,7 @@ TEST(SpongeSsdCascadeTest, RoundTripThroughSsdPreservesBytes) {
   f.engine.Spawn(run());
   f.engine.Run();
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_GE(file.stats().chunks_local_ssd, 1u);
+  EXPECT_GE(file.ledger()[ChunkLocation::kLocalSsd].chunks, 1u);
   EXPECT_GE(f.ssd().reads(), 1u);
   EXPECT_EQ(read_back_checksum, Checksum::Of(Slice(data)));
 }
@@ -152,26 +155,16 @@ TEST(SpongeSsdCascadeTest, DeleteReleasesSsdReservations) {
   EXPECT_EQ(f.ssd().used_bytes(), 0u);
 }
 
-TEST(SpongeSsdCascadeTest, DisabledRungSkipsThePresentSsd) {
-  SpongeConfig config;
-  config.ssd_enabled = false;
-  SsdFixture f(config);
-  SpongeFile file(f.env.get(), &f.task, "off");
-  f.WriteAndClose(&file, MiB(4));
-  EXPECT_EQ(file.stats().chunks_local_ssd, 0u);
-  EXPECT_EQ(file.stats().chunks_local_disk, 2u);
-  EXPECT_EQ(f.ssd().writes(), 0u);
-}
-
-TEST(SpongeSsdCascadeTest, UsedFractionGateLeavesHeadroom) {
-  SpongeConfig config;
-  config.ssd_max_used_fraction = 0.5;  // of a 4 MiB device: 2 MiB usable
-  SsdFixture f(config, /*ssd_capacity=*/MiB(4));
+TEST(SpongeSsdCascadeTest, OtherReservationsCapTheRung) {
+  // Another consumer holds half of a 4 MiB device: the rung takes only the
+  // remaining 2 MiB and the rest of the file lands on disk.
+  SsdFixture f(SpongeConfig{}, /*ssd_capacity=*/MiB(4));
+  ASSERT_TRUE(f.ssd().TryReserve(MiB(2)));
   SpongeFile file(f.env.get(), &f.task, "headroom");
   f.WriteAndClose(&file, MiB(8));
-  EXPECT_EQ(file.stats().chunks_local_ssd, 2u);
-  EXPECT_EQ(file.stats().chunks_local_disk, 4u);
-  EXPECT_EQ(f.ssd().used_bytes(), MiB(2));
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalSsd].chunks, 2u);
+  EXPECT_EQ(file.ledger()[ChunkLocation::kLocalDisk].chunks, 4u);
+  EXPECT_EQ(f.ssd().used_bytes(), MiB(4));
 }
 
 TEST(SpongeSsdCascadeTest, WornSsdFallsThroughToDisk) {
@@ -200,11 +193,11 @@ TEST(SpongeSsdCascadeTest, WornSsdFallsThroughToDisk) {
   f.engine.Run();
   // During the window every SSD write failed and the chunks landed on
   // disk; afterwards the rung absorbs them again.
-  EXPECT_EQ(worn_file.stats().chunks_local_ssd, 0u);
-  EXPECT_EQ(worn_file.stats().chunks_local_disk, 2u);
+  EXPECT_EQ(worn_file.ledger()[ChunkLocation::kLocalSsd].chunks, 0u);
+  EXPECT_EQ(worn_file.ledger()[ChunkLocation::kLocalDisk].chunks, 2u);
   EXPECT_GE(f.ssd().failed_writes(), 2u);
-  EXPECT_EQ(fresh_file.stats().chunks_local_ssd, 2u);
-  EXPECT_EQ(fresh_file.stats().chunks_local_disk, 0u);
+  EXPECT_EQ(fresh_file.ledger()[ChunkLocation::kLocalSsd].chunks, 2u);
+  EXPECT_EQ(fresh_file.ledger()[ChunkLocation::kLocalDisk].chunks, 0u);
 }
 
 TEST(SpongeSsdCascadeTest, SlowSsdCompletesJustLater) {
@@ -220,7 +213,7 @@ TEST(SpongeSsdCascadeTest, SlowSsdCompletesJustLater) {
     }
     SpongeFile file(f.env.get(), &f.task, "timed");
     f.WriteAndClose(&file, MiB(4));
-    EXPECT_EQ(file.stats().chunks_local_ssd, 2u);
+    EXPECT_EQ(file.ledger()[ChunkLocation::kLocalSsd].chunks, 2u);
     return f.ssd().busy_time();
   };
   Duration fast = timed_run(false);

@@ -20,6 +20,7 @@
 #include "sponge/failure.h"
 #include "sponge/sponge_env.h"
 #include "sponge/sponge_file.h"
+#include "spill_counters.h"
 
 namespace spongefiles::sponge {
 namespace {
@@ -141,19 +142,21 @@ TEST(TrackerShardTest, ShardOutageDegradesOnlyItsRacksSpills) {
   TaskContext blinded_task = f.env->StartTask(0);
   SpongeFile blinded(f.env.get(), &blinded_task, "blinded");
   SpongeFile::Stats down = f.Spill(&blinded);
-  EXPECT_EQ(down.chunks_local_memory, 4u);
-  EXPECT_EQ(down.chunks_remote_memory, 0u);
-  EXPECT_EQ(down.chunks_local_disk, 8u);
+  EXPECT_EQ(down.ledger[ChunkLocation::kLocalMemory].chunks, 4u);
+  EXPECT_EQ(down.ledger[ChunkLocation::kRemoteMemory].chunks, 0u);
+  EXPECT_EQ(down.ledger[ChunkLocation::kLocalDisk].chunks, 8u);
 
   // A task on a healthy rack keeps the full cascade: local, rack-local
   // remote, then cross-rack remote into the third rack.
   TaskContext healthy_task = f.env->StartTask(2);
   SpongeFile healthy(f.env.get(), &healthy_task, "healthy");
+  const SpillCounters before = ReadSpillCounters();
   SpongeFile::Stats up = f.Spill(&healthy);
-  EXPECT_EQ(up.chunks_local_memory, 4u);
-  EXPECT_GE(up.chunks_remote_memory, 8u);
-  EXPECT_GT(up.chunks_remote_cross_rack, 0u);
-  EXPECT_EQ(up.chunks_local_disk, 0u);
+  EXPECT_EQ(up.ledger[ChunkLocation::kLocalMemory].chunks, 4u);
+  EXPECT_GE(up.ledger[ChunkLocation::kRemoteMemory].chunks, 8u);
+  EXPECT_GT(up.ledger.cross_rack().chunks, 0u);
+  EXPECT_EQ(up.ledger[ChunkLocation::kLocalDisk].chunks, 0u);
+  ExpectCountersMatchLedger(before, up.ledger);
 }
 
 TEST(TrackerShardTest, DeadShardsDigestAgesOutOfOtherRacksAnswers) {
@@ -214,8 +217,8 @@ TEST(TrackerShardTest, GossipPartitionHealsAndLeaksNothing) {
   TaskContext partitioned_task = f.env->StartTask(0);
   SpongeFile partitioned(f.env.get(), &partitioned_task, "partitioned");
   SpongeFile::Stats during = f.Spill(&partitioned);
-  EXPECT_EQ(during.chunks_remote_cross_rack, 0u);
-  EXPECT_EQ(during.chunks_local_disk, 4u);
+  EXPECT_EQ(during.ledger.cross_rack().chunks, 0u);
+  EXPECT_EQ(during.ledger[ChunkLocation::kLocalDisk].chunks, 4u);
 
   // Heal. Reconnected gossip repopulates both directions within a couple
   // of rounds.
