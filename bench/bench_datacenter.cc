@@ -21,12 +21,9 @@
 //   --ssd-gb=F       per-node SSD capacity in GiB (0 removes the SSD rung;
 //                    default 0.015625 = 16 MiB, 2x the per-node sponge)
 //   --ssd-bw=N       SSD read+write stream rate in MB/s (0 = defaults)
-//   --engine=legacy|seq|par   event-loop driver: the legacy single queue,
-//                    the rack-sharded serial schedule, or the rack-sharded
-//                    threaded schedule (byte-identical to seq; see
-//                    DESIGN.md §13). Replay tasks are homed on their
-//                    rack's lane, so par runs the racks concurrently.
-//   --threads=N      worker threads for --engine=par (default: host cores)
+//   --engine=legacy|seq   event-loop driver: the legacy single queue or
+//                    the rack-sharded serial schedule (DESIGN.md §13).
+//                    Replay tasks are homed on their rack's lane.
 //   (plus the standard --trace-out= / --metrics-out= observability flags)
 //
 // The default shape (16 racks x 32 nodes, 1200 jobs) satisfies the
@@ -96,8 +93,7 @@ struct Options {
   // --ssd-bw=MB/s overrides both the read and write stream rates (0 keeps
   // the SsdConfig defaults: 2 GiB/s read, 1 GiB/s write).
   double ssd_bw_mbps = 0;
-  std::string engine_mode = "legacy";  // legacy | seq | par
-  unsigned threads = 0;                // 0 = host cores (par only)
+  std::string engine_mode = "legacy";  // legacy | seq
   std::string out = "BENCH_datacenter.json";
   std::string sim_out;
 };
@@ -146,11 +142,10 @@ std::array<sponge::MediumTally, std::size(kColumnKeys)> Columns(
 }
 
 // Job/task progress tallies, striped by lane: a job's tasks are all homed
-// on one rack (hence one lane under the rack-sharded engine), so the
-// per-job arrays are single-lane by construction, but these cluster-wide
-// counters are touched by every lane and must not share cache lines.
-// Legacy engine: one entry, identical to the old shared scalars.
-struct alignas(64) LaneTally {
+// on one rack (hence one lane under the rack-sharded engine), so each lane
+// tracks its own active and peak job counts (see peak_concurrent_jobs).
+// Legacy engine: one entry, identical to shared scalars.
+struct LaneTally {
   size_t active_jobs = 0;
   size_t peak_jobs = 0;
   size_t tasks_done = 0;
@@ -236,10 +231,9 @@ struct RunResult {
   bool outage_isolated = false;
   bool ok = false;
   uint64_t digest = 0;
-  // Wall clock and host facts (not deterministic; kept out of --sim-out —
-  // the seq/par differential gate byte-compares sim snapshots).
+  // Wall clock (not deterministic; kept out of --sim-out, which two runs
+  // of the same shape must reproduce byte for byte).
   double wall_ms = 0;
-  unsigned threads_used = 0;
 };
 
 RunResult RunReplay(const Options& options) {
@@ -260,28 +254,19 @@ RunResult RunReplay(const Options& options) {
 
   sim::Engine engine;
   cluster::ClusterConfig cc = cluster::MakeClusterConfig(topo);
-  // Sharded drivers: one lane per rack plus the global lane. The
+  // Sharded schedule: one lane per rack plus the global lane. The
   // lookahead is the minimum cross-rack message delay — no event on one
   // rack can affect another sooner than the core's latency, which is what
   // lets a whole window of each rack's events run without coordination.
-  std::unique_ptr<sim::Sharding> sharding;
-  if (options.engine_mode != "legacy") {
+  if (options.engine_mode == "seq") {
     std::vector<size_t> rack_of;
     rack_of.reserve(result.num_nodes);
     for (size_t i = 0; i < result.num_nodes; ++i) {
       rack_of.push_back(i / options.nodes_per_rack);
     }
-    unsigned threads = 0;
-    if (options.engine_mode == "par") {
-      threads = options.threads > 0 ? options.threads : sim::HostCores();
-    }
-    result.threads_used = threads;
-    sharding = std::make_unique<sim::Sharding>(
-        &engine,
-        sim::RackShardPlan(rack_of, options.racks,
-                           cc.network.latency +
-                               cc.network.cross_rack_latency),
-        threads);
+    engine.ConfigureShards(sim::RackShardPlan(
+        rack_of, options.racks,
+        cc.network.latency + cc.network.cross_rack_latency));
   }
   cluster::Cluster cluster(&engine, cc);
   cluster::Dfs dfs(&cluster);
@@ -503,7 +488,6 @@ std::string SimJson(const Options& options, const RunResult& r) {
   out += ",\n";
   AppendRackArray(&out, "downlink_bytes", r.downlink_bytes);
   out += ",\n";
-  // Identical between the seq and par drivers (same windowed schedule);
   // [total] on the legacy engine.
   AppendRackArray(&out, "per_lane_events", r.per_lane_events);
   out += ",\n  \"uplink_utilization\": [";
@@ -538,9 +522,7 @@ std::string FullJson(const Options& options, const RunResult& r) {
   std::string out = sim.substr(0, sim.rfind("\n}\n"));
   out += ",\n  \"engine\": \"";
   out += options.engine_mode;
-  out += "\",\n  \"threads\": ";
-  obs::AppendJsonUint(&out, r.threads_used);
-  out += ",\n  \"host_cores\": ";
+  out += "\",\n  \"host_cores\": ";
   obs::AppendJsonUint(&out, sim::HostCores());
   out += ",\n  \"wall_ms\": ";
   obs::AppendJsonDouble(&out, r.wall_ms);
@@ -591,17 +573,14 @@ int main(int argc, char** argv) {
       options.ssd_bw_mbps = std::strtod(arg.c_str() + 9, nullptr);
     } else if (arg.rfind("--engine=", 0) == 0) {
       options.engine_mode = arg.substr(9);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = static_cast<unsigned>(std::atoll(arg.c_str() + 10));
     }
   }
   if (options.racks < 2 || options.nodes_per_rack < 1 || options.jobs < 1) {
     std::fprintf(stderr, "need --racks>=2, --nodes-per-rack>=1, --jobs>=1\n");
     return 2;
   }
-  if (options.engine_mode != "legacy" && options.engine_mode != "seq" &&
-      options.engine_mode != "par") {
-    std::fprintf(stderr, "--engine must be legacy, seq, or par\n");
+  if (options.engine_mode != "legacy" && options.engine_mode != "seq") {
+    std::fprintf(stderr, "--engine must be legacy or seq\n");
     return 2;
   }
 

@@ -24,15 +24,9 @@
 //                   it, along with --trace-out and --metrics-out
 //                   snapshots).
 //   --out=PATH      writes the wall-clock report (BENCH_selfperf.json).
-//   --baseline=PATH a prior --out file; its totals are embedded next to
-//                   ours and the ratio computed (regression tracking
-//                   across commits).
-//   --engine=MODE   legacy (default): the single-queue engine, bit-exact
-//                   old behaviour. seq: the sharded engine (node
-//                   projection) on the serial reference driver. par: the
-//                   same sharded schedule on the thread pool — tools/
-//                   perf.sh byte-compares seq and par --sim-out snapshots.
-//   --threads=N     pool size under --engine=par (default: host cores).
+//   --pool=MODE     tiered (default) or flat: the chunk pool's shape.
+//   --scenarios=a,b restricts the suite to the named scenarios.
+//   --chaos-seeds=N injected-fault runs in chaos_sweep (default 5).
 
 #include <sys/resource.h>
 
@@ -68,13 +62,6 @@ uint64_t PeakRssBytes() {
   return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
 }
 
-// Engine mode for every scenario (--engine / --threads), set once in main
-// before any scenario runs. The testbeds here are single-rack, so seq/par
-// use the node projection (one worker lane per node) — the rack projection
-// would degenerate to a single worker lane.
-std::string g_engine_mode = "legacy";
-unsigned g_engine_threads = 0;  // --engine=par pool size; 0 = host cores
-
 // --pool=flat runs every scenario on the pre-tiered allocator (one global
 // free list + one global lock); the default is the tiered pool. tools/
 // perf.sh runs fig5_contention both ways and gates on tiered winning.
@@ -96,16 +83,6 @@ bool ScenarioEnabled(const char* name) {
   return false;
 }
 
-workload::ShardProjection Projection() {
-  return g_engine_mode == "legacy" ? workload::ShardProjection::kNone
-                                   : workload::ShardProjection::kNode;
-}
-
-unsigned ShardThreads() {
-  if (g_engine_mode != "par") return 0;
-  return g_engine_threads > 0 ? g_engine_threads : sim::HostCores();
-}
-
 struct ScenarioResult {
   std::string name;
   double wall_ms = 0;
@@ -120,18 +97,7 @@ struct ScenarioResult {
                                // plane moved (spill accounting)
   uint64_t digest = 0;         // deterministic: FNV over scenario outputs
   bool ok = false;             // deterministic
-  // Events per engine lane, summed elementwise over the scenario's engines
-  // ([total] on the legacy engine). Identical between seq and par — the
-  // sharded schedule is the same either way.
-  std::vector<uint64_t> per_lane_events;
 };
-
-void FoldLaneEvents(const std::vector<uint64_t>& lanes, ScenarioResult* r) {
-  if (r->per_lane_events.size() < lanes.size()) {
-    r->per_lane_events.resize(lanes.size(), 0);
-  }
-  for (size_t l = 0; l < lanes.size(); ++l) r->per_lane_events[l] += lanes[l];
-}
 
 // FNV-1a 64 over arbitrary stuff, for the per-scenario output digest.
 struct Digest {
@@ -157,13 +123,6 @@ sim::Task<> StormLane(sim::Engine* engine, uint64_t lane, uint64_t yields,
   }
 }
 
-// Per-storm-lane accumulator: padded to a cache line so the threaded
-// driver's worker lanes never false-share (each engine lane touches only
-// its own entry, so there is no cross-lane data race to begin with).
-struct alignas(64) StormAcc {
-  uint64_t v = 0;
-};
-
 ScenarioResult RunEventStorm() {
   ScenarioResult r;
   r.name = "event_storm";
@@ -171,31 +130,15 @@ ScenarioResult RunEventStorm() {
   constexpr uint64_t kYields = 125000;  // 8 * 125k = 1M events
   double start = WallMs();
   sim::Engine engine;
-  // seq/par: one engine lane per storm lane. The storm lanes never talk to
-  // each other, so any positive lookahead is conservative; one microsecond
-  // matches the smallest timed delay in the mix.
-  std::unique_ptr<sim::Sharding> sharding;
-  if (g_engine_mode != "legacy") {
-    sharding = std::make_unique<sim::Sharding>(
-        &engine, sim::NodeShardPlan(kLanes, Micros(1)), ShardThreads());
-  }
-  std::vector<StormAcc> accs(kLanes);
+  std::vector<uint64_t> accs(kLanes);
   for (uint64_t lane = 0; lane < kLanes; ++lane) {
-    if (sharding != nullptr) {
-      engine.SpawnOnShard(static_cast<uint32_t>(lane) + 1, 0,
-                          StormLane(&engine, lane, kYields, &accs[lane].v));
-    } else {
-      engine.Spawn(StormLane(&engine, lane, kYields, &accs[lane].v));
-    }
+    engine.Spawn(StormLane(&engine, lane, kYields, &accs[lane]));
   }
   engine.Run();
   uint64_t acc = 0;
-  for (const StormAcc& a : accs) acc += a.v;
+  for (uint64_t a : accs) acc += a;
   r.engine_events = engine.events_processed();
   r.sim_time = engine.now();
-  for (uint32_t l = 0; l < engine.lane_count(); ++l) {
-    r.per_lane_events.push_back(engine.lane_events(l));
-  }
   r.wall_ms = WallMs() - start;
   Digest d;
   d.U64(acc);
@@ -217,14 +160,11 @@ MacroOptions PinnedOptions() {
   options.median_count = 200001;
   options.web_bytes = MiB(256);
   options.grep_bytes = GiB(1);
-  options.shard_projection = Projection();
-  options.shard_threads = ShardThreads();
   options.pool.flat = g_pool_flat;
   return options;
 }
 
 void FoldRun(const MacroRun& run, ScenarioResult* r, Digest* d) {
-  FoldLaneEvents(run.lane_events, r);
   r->engine_events += run.engine_events;
   r->sim_time += run.sim_now;
   r->job_runtime += run.runtime;
@@ -279,7 +219,6 @@ struct ChaosOutcome {
   SimTime sim_now = 0;
   uint64_t spilled_bytes = 0;
   bool ok = false;
-  std::vector<uint64_t> lane_events;
 };
 
 constexpr SimTime kFaultHorizon = Seconds(90);
@@ -293,8 +232,6 @@ ChaosOutcome RunChaosJob(uint64_t seed, bool inject) {
   bed_config.num_nodes = 8;
   bed_config.sponge_memory = MiB(64);
   bed_config.sponge.rpc.hedge_reads = true;
-  bed_config.shard_projection = Projection();
-  bed_config.shard_threads = ShardThreads();
   bed_config.pool.flat = g_pool_flat;
   workload::Testbed bed(bed_config);
   workload::NumbersDatasetConfig data;
@@ -347,9 +284,6 @@ ChaosOutcome RunChaosJob(uint64_t seed, bool inject) {
   bed.engine().RunUntil(bed.engine().now() + Seconds(10));
   out.engine_events = bed.engine().events_processed();
   out.sim_now = bed.engine().now();
-  for (uint32_t l = 0; l < bed.engine().lane_count(); ++l) {
-    out.lane_events.push_back(bed.engine().lane_events(l));
-  }
   out.ok = swept && out.output.size() == 1 &&
            out.output[0].number == numbers.expected_median();
   return out;
@@ -368,7 +302,6 @@ ScenarioResult RunChaosSweep(int seeds) {
                                        /*inject=*/true);
     r.ok = r.ok && chaotic.ok && chaotic.leaked_chunks == 0 &&
            chaotic.output == baseline.output;
-    FoldLaneEvents(chaotic.lane_events, &r);
     r.engine_events += chaotic.engine_events;
     r.sim_time += chaotic.sim_now;
     r.sim_bytes += chaotic.spilled_bytes;
@@ -377,7 +310,6 @@ ScenarioResult RunChaosSweep(int seeds) {
     d.U64(chaotic.leaked_chunks);
     d.U64(chaotic.engine_events);
   }
-  FoldLaneEvents(baseline.lane_events, &r);
   r.engine_events += baseline.engine_events;
   r.sim_time += baseline.sim_now;
   r.sim_bytes += baseline.spilled_bytes;
@@ -425,17 +357,7 @@ std::string SimJson(const std::vector<ScenarioResult>& results) {
   return out;
 }
 
-// Pulls `"key": <number>` out of a baseline report (our own output format,
-// so naive extraction is fine).
-double ExtractNumber(const std::string& json, const std::string& key) {
-  std::string needle = "\"" + key + "\": ";
-  size_t pos = json.find(needle);
-  if (pos == std::string::npos) return 0;
-  return std::strtod(json.c_str() + pos + needle.size(), nullptr);
-}
-
-std::string WallJson(const std::vector<ScenarioResult>& results,
-                     const std::string& baseline_json) {
+std::string WallJson(const std::vector<ScenarioResult>& results) {
   const char* flavor = "fastpath";
   double total_wall = 0;
   uint64_t total_events = 0, total_bytes = 0;
@@ -446,13 +368,9 @@ std::string WallJson(const std::vector<ScenarioResult>& results,
   }
   std::string out = "{\n  \"bench\": \"selfperf\",\n  \"flavor\": \"";
   out += flavor;
-  out += "\",\n  \"engine\": \"";
-  out += g_engine_mode;
   out += "\",\n  \"pool\": \"";
   out += g_pool_flat ? "flat" : "tiered";
-  out += "\",\n  \"threads\": ";
-  obs::AppendJsonUint(&out, ShardThreads());
-  out += ",\n  \"host_cores\": ";
+  out += "\",\n  \"host_cores\": ";
   obs::AppendJsonUint(&out, sim::HostCores());
   out += ",\n  \"scenarios\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
@@ -470,12 +388,7 @@ std::string WallJson(const std::vector<ScenarioResult>& results,
     obs::AppendJsonUint(&out, r.sim_bytes);
     out += ", \"sim_bytes_per_sec\": ";
     obs::AppendJsonDouble(&out, secs > 0 ? r.sim_bytes / secs : 0);
-    out += ", \"per_lane_events\": [";
-    for (size_t l = 0; l < r.per_lane_events.size(); ++l) {
-      if (l > 0) out += ", ";
-      obs::AppendJsonUint(&out, r.per_lane_events[l]);
-    }
-    out += "], \"ok\": ";
+    out += ", \"ok\": ";
     out += r.ok ? "true" : "false";
     out += "}";
     if (i + 1 < results.size()) out += ",";
@@ -492,16 +405,6 @@ std::string WallJson(const std::vector<ScenarioResult>& results,
   obs::AppendJsonDouble(&out, total_secs > 0 ? total_bytes / total_secs : 0);
   out += ",\n  \"peak_rss_bytes\": ";
   obs::AppendJsonUint(&out, PeakRssBytes());
-  if (!baseline_json.empty()) {
-    double base_wall = ExtractNumber(baseline_json, "total_wall_ms");
-    double base_rss = ExtractNumber(baseline_json, "peak_rss_bytes");
-    out += ",\n  \"baseline_total_wall_ms\": ";
-    obs::AppendJsonDouble(&out, base_wall);
-    out += ",\n  \"baseline_peak_rss_bytes\": ";
-    obs::AppendJsonUint(&out, static_cast<uint64_t>(base_rss));
-    out += ",\n  \"speedup\": ";
-    obs::AppendJsonDouble(&out, total_wall > 0 ? base_wall / total_wall : 0);
-  }
   out += "\n}\n";
   return out;
 }
@@ -512,7 +415,6 @@ int main(int argc, char** argv) {
   ObsOptions obs_options = ParseObsFlags(argc, argv);
   std::string out_path = "BENCH_selfperf.json";
   std::string sim_out_path;
-  std::string baseline_path;
   int chaos_seeds = 5;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -520,13 +422,9 @@ int main(int argc, char** argv) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--sim-out=", 0) == 0) {
       sim_out_path = arg.substr(10);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
     } else if (arg.rfind("--chaos-seeds=", 0) == 0) {
       chaos_seeds = std::atoi(arg.c_str() + 14);
       if (chaos_seeds < 1) chaos_seeds = 1;
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      g_engine_mode = arg.substr(9);
     } else if (arg.rfind("--pool=", 0) == 0) {
       std::string mode = arg.substr(7);
       if (mode != "flat" && mode != "tiered") {
@@ -537,20 +435,11 @@ int main(int argc, char** argv) {
       g_pool_flat = mode == "flat";
     } else if (arg.rfind("--scenarios=", 0) == 0) {
       g_scenarios = arg.substr(12);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      g_engine_threads =
-          static_cast<unsigned>(std::atoi(arg.c_str() + 10));
     }
   }
-  if (g_engine_mode != "legacy" && g_engine_mode != "seq" &&
-      g_engine_mode != "par") {
-    std::fprintf(stderr, "unknown --engine=%s (legacy|seq|par)\n",
-                 g_engine_mode.c_str());
-    return 2;
-  }
 
-  std::printf("self-perf suite (fast-path data plane, engine=%s, pool=%s)\n\n",
-              g_engine_mode.c_str(), g_pool_flat ? "flat" : "tiered");
+  std::printf("self-perf suite (fast-path data plane, pool=%s)\n\n",
+              g_pool_flat ? "flat" : "tiered");
 
   std::vector<ScenarioResult> results;
   if (ScenarioEnabled("event_storm")) results.push_back(RunEventStorm());
@@ -583,32 +472,7 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf("\npeak RSS: %s\n", FormatBytes(PeakRssBytes()).c_str());
 
-  std::string baseline_json;
-  if (!baseline_path.empty()) {
-    std::FILE* f = std::fopen(baseline_path.c_str(), "r");
-    if (f != nullptr) {
-      char buf[4096];
-      size_t n;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        baseline_json.append(buf, n);
-      }
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "baseline %s unreadable; omitting speedup\n",
-                   baseline_path.c_str());
-    }
-  }
-  if (!baseline_json.empty()) {
-    double base = ExtractNumber(baseline_json, "total_wall_ms");
-    double total = 0;
-    for (const ScenarioResult& r : results) total += r.wall_ms;
-    if (base > 0 && total > 0) {
-      std::printf("speedup vs baseline: %.2fx (%.0f ms -> %.0f ms)\n",
-                  base / total, base, total);
-    }
-  }
-
-  if (!WriteText(out_path, WallJson(results, baseline_json))) {
+  if (!WriteText(out_path, WallJson(results))) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
     return 1;
   }

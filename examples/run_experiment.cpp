@@ -7,15 +7,7 @@
 //                  [--memory-gb N] [--sponge-gb N]
 //                  [--ssd-gb F] [--ssd-bw MBps]
 //                  [--background-grep] [--scale N] [--seed N]
-//                  [--engine legacy|seq|par] [--projection node|rack]
-//                  [--threads N]
 //                  [--trace-out FILE] [--metrics-out FILE]
-//
-// --engine picks the event-loop driver (DESIGN.md §13): legacy is the
-// single-queue engine, seq the sharded engine on the serial reference
-// driver, par the same schedule on a thread pool (N threads, default host
-// cores). --projection picks how the cluster maps onto lanes (default:
-// node — the testbed is single-rack unless you also shrink nodes_per_rack).
 
 #include <cstdio>
 #include <cstring>
@@ -24,7 +16,6 @@
 #include "common/units.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/parallel.h"
 #include "workload/testbed.h"
 
 using namespace spongefiles;
@@ -43,9 +34,6 @@ struct Options {
   bool background_grep = false;
   uint64_t scale = 10;  // datasets = paper size / scale
   uint64_t seed = 2014;
-  std::string engine = "legacy";     // legacy | seq | par
-  std::string projection = "node";   // node | rack
-  unsigned threads = 0;              // par pool size; 0 = host cores
   std::string trace_out;
   std::string metrics_out;
 };
@@ -96,19 +84,6 @@ bool Parse(int argc, char** argv, Options* options) {
       const char* v = next();
       if (v == nullptr) return false;
       options->seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--engine") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->engine = v;
-    } else if (arg == "--projection") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->projection = v;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options->threads =
-          static_cast<unsigned>(std::strtoull(v, nullptr, 10));
     } else if (arg == "--trace-out") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -120,13 +95,6 @@ bool Parse(int argc, char** argv, Options* options) {
     } else {
       return false;
     }
-  }
-  if (options->engine != "legacy" && options->engine != "seq" &&
-      options->engine != "par") {
-    return false;
-  }
-  if (options->projection != "node" && options->projection != "rack") {
-    return false;
   }
   return options->job == "median" || options->job == "anchortext" ||
          options->job == "quantiles";
@@ -142,9 +110,7 @@ int main(int argc, char** argv) {
         "usage: %s [--job median|anchortext|quantiles] [--spill "
         "disk|sponge] [--memory-gb N] [--sponge-gb N] [--ssd-gb F] "
         "[--ssd-bw MBps] [--background-grep] "
-        "[--scale N] [--seed N] [--engine legacy|seq|par] "
-        "[--projection node|rack] [--threads N] [--trace-out FILE] "
-        "[--metrics-out FILE]\n",
+        "[--scale N] [--seed N] [--trace-out FILE] [--metrics-out FILE]\n",
         argv[0]);
     return 2;
   }
@@ -161,15 +127,6 @@ int main(int argc, char** argv) {
     if (options.ssd_bw_mbps > 0) {
       bed_config.ssd.read_bandwidth = options.ssd_bw_mbps * 1e6;
       bed_config.ssd.write_bandwidth = options.ssd_bw_mbps * 1e6;
-    }
-  }
-  if (options.engine != "legacy") {
-    bed_config.shard_projection = options.projection == "rack"
-                                      ? workload::ShardProjection::kRack
-                                      : workload::ShardProjection::kNode;
-    if (options.engine == "par") {
-      bed_config.shard_threads =
-          options.threads > 0 ? options.threads : sim::HostCores();
     }
   }
   workload::Testbed bed(bed_config);

@@ -64,15 +64,8 @@ class Network {
 
   const NetworkConfig& config() const { return config_; }
 
-  // Total bytes moved, summed over the per-lane tallies (Transfer is the
-  // one network mutation that runs on worker lanes — rack-local traffic
-  // under the rack projection — so its counter is lane-striped; everything
-  // else here is global-lane-only or phase-exclusive).
-  uint64_t bytes_transferred() const {
-    uint64_t total = 0;
-    for (uint64_t lane_bytes : bytes_transferred_) total += lane_bytes;
-    return total;
-  }
+  // Total bytes moved.
+  uint64_t bytes_transferred() const { return bytes_transferred_; }
 
   // Background-repair traffic accounting (re-replication after a sponge
   // server death). The bytes already went through Transfer and paid their
@@ -120,7 +113,7 @@ class Network {
   // Per-node NIC degradation (gray failures); 1.0 / 0 means healthy.
   std::vector<double> link_factor_;
   std::vector<Duration> link_extra_latency_;
-  std::vector<uint64_t> bytes_transferred_;  // indexed by lane
+  uint64_t bytes_transferred_ = 0;
   uint64_t cross_rack_bytes_ = 0;
   uint64_t repair_bytes_ = 0;
   std::vector<uint64_t> repair_uplink_bytes_;  // per source rack

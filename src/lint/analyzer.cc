@@ -283,13 +283,6 @@ class Analyzer {
     return false;
   }
 
-  bool PathThreadingAllowed() const {
-    for (const auto& sub : opts_.threading_allowlist) {
-      if (path_.find(sub) != std::string::npos) return true;
-    }
-    return false;
-  }
-
   // ---- waivers ----------------------------------------------------------
 
   void ParseWaivers() {
@@ -532,15 +525,11 @@ class Analyzer {
 
   void CheckBannedHeaders() {
     if (PathAllowed()) return;
-    const bool threading_ok = PathThreadingAllowed();
     for (const Token& t : toks_) {
       if (t.kind != TokenKind::kPreprocessor) continue;
       std::string header = IncludeTarget(t.text, '<', '>');
       if (header.empty()) continue;
       if (!Contains(opts_.banned_headers, header)) continue;
-      // The threading allowlist exempts only the threading headers: a
-      // <random> or <ctime> in the sharded harness is still an error.
-      if (threading_ok && Contains(opts_.threading_headers, header)) continue;
       Diag(Check::kBannedHeader, t.line,
            "#include <" + header + "> is banned here; the simulator is "
                "single-threaded and deterministic (allowed only under: " +

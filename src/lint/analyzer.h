@@ -50,16 +50,6 @@ struct AnalyzerOptions {
   // (the seeded-randomness gateway lives here).
   std::vector<std::string> allowlist = {"common/random"};
 
-  // The subset of banned_headers that exist to keep host threading out of
-  // the simulator. Files matching threading_allowlist may include exactly
-  // these — and remain subject to every other check, including the rest of
-  // banned_headers. The sharded engine's phase-A thread pool is the one
-  // sanctioned user (see DESIGN.md "Parallel engine").
-  std::vector<std::string> threading_headers = {
-      "thread", "mutex", "shared_mutex", "condition_variable", "future",
-  };
-  std::vector<std::string> threading_allowlist = {"src/sim/parallel"};
-
   // Method names that acquire / release a lock for the
   // lock-across-suspension check. Semaphore::Acquire is deliberately NOT
   // listed: holding a simulated resource (disk queue, network link)

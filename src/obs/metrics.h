@@ -19,9 +19,9 @@ namespace spongefiles::obs {
 // Instruments are cheap enough for simulator hot paths — recording is a
 // few integer operations on a cached pointer; the string-keyed lookup
 // happens once, at instrument-creation time. Snapshots serialize to JSON
-// deterministically, sorted by (name, labels) — creation order is not used
-// because under the sharded engine first-touch order can vary from run to
-// run while the values themselves stay deterministic.
+// deterministically, sorted by (name, labels) — creation order is not used,
+// so the snapshot does not depend on which code path touched an
+// instrument first.
 //
 // Naming convention (see DESIGN.md "Observability"):
 //   <layer>.<component>.<metric>   e.g. sponge.spill.bytes, cluster.disk.seeks
@@ -32,49 +32,10 @@ namespace spongefiles::obs {
 // should use one canonical order.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-// ---------------------------------------------------------------------------
-// Sharded-engine capture hooks. The conservative parallel engine (see
-// DESIGN.md "Parallel engine") runs worker lanes whose metric updates must
-// fold into the shared instruments in a deterministic order. When a sink is
-// installed (sim/parallel.cc does so while an engine is sharded), every
-// mutation first offers itself to the sink; a worker lane captures the op
-// into a per-lane log (sink returns true) and the driver replays the logs
-// in lane order at the window barrier via ApplyMetricOp. On the driver the
-// sink declines (returns false) and the mutation applies inline. With no
-// sink installed the cost is one pointer load and branch per update.
-// ---------------------------------------------------------------------------
-enum MetricOp : int {
-  kMetricCounterInc = 0,
-  kMetricGaugeSet = 1,
-  kMetricGaugeAdd = 2,
-  kMetricHistogramRecord = 3,
-  kMetricSummaryAdd = 4,
-};
-
-using MetricSinkFn = bool (*)(void* instrument, int op, uint64_t u, int64_t i,
-                              double d);
-extern MetricSinkFn g_metric_sink;
-
-// Applies one captured op to `instrument` (the barrier replay path; runs on
-// the driver, where the installed sink declines and the normal inline
-// mutation executes).
-void ApplyMetricOp(void* instrument, int op, uint64_t u, int64_t i, double d);
-
-// Serializes Registry::FindOrCreate while instruments may be created from
-// worker threads (instrument creation is rare — first touch per site — so
-// one coarse lock is fine). Null outside sharded runs.
-extern void (*g_registry_lock)(bool acquire);
-
 // Monotonically increasing event/byte counter.
 class Counter {
  public:
-  void Increment(uint64_t n = 1) {
-    if (g_metric_sink != nullptr &&
-        g_metric_sink(this, kMetricCounterInc, n, 0, 0.0)) {
-      return;
-    }
-    value_ += n;
-  }
+  void Increment(uint64_t n = 1) { value_ += n; }
   uint64_t value() const { return value_; }
 
  private:
@@ -87,21 +48,10 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t v) {
-    if (g_metric_sink != nullptr &&
-        g_metric_sink(this, kMetricGaugeSet, 0, v, 0.0)) {
-      return;
-    }
     value_ = v;
     if (value_ > max_) max_ = value_;
   }
-  // Deltas are captured as deltas: on a worker lane the current value may
-  // be stale until earlier lanes' logs replay, so resolving Set(value_ + d)
-  // at capture time would fold in the wrong order.
   void Add(int64_t d) {
-    if (g_metric_sink != nullptr &&
-        g_metric_sink(this, kMetricGaugeAdd, 0, d, 0.0)) {
-      return;
-    }
     value_ += d;
     if (value_ > max_) max_ = value_;
   }

@@ -6,8 +6,6 @@
 
 namespace spongefiles::obs {
 
-TraceSinkFn g_trace_sink = nullptr;
-
 void Tracer::Clear() {
   events_.clear();
   next_seq_ = 0;
@@ -17,10 +15,6 @@ void Tracer::CompleteEvent(int64_t ts, int64_t dur, uint64_t pid, uint64_t tid,
                            const char* category, std::string name,
                            TraceArgs args) {
   if (!enabled_) return;
-  if (g_trace_sink != nullptr &&
-      g_trace_sink(this, 'X', ts, dur, pid, tid, category, &name, &args)) {
-    return;
-  }
   events_.push_back(Event{'X', ts, dur, pid, tid, category, std::move(name),
                           std::move(args), next_seq_++});
 }
@@ -29,18 +23,7 @@ void Tracer::InstantEvent(int64_t ts, uint64_t pid, uint64_t tid,
                           const char* category, std::string name,
                           TraceArgs args) {
   if (!enabled_) return;
-  if (g_trace_sink != nullptr &&
-      g_trace_sink(this, 'i', ts, 0, pid, tid, category, &name, &args)) {
-    return;
-  }
   events_.push_back(Event{'i', ts, 0, pid, tid, category, std::move(name),
-                          std::move(args), next_seq_++});
-}
-
-void Tracer::EmitCaptured(char phase, int64_t ts, int64_t dur, uint64_t pid,
-                          uint64_t tid, const char* category, std::string name,
-                          TraceArgs args) {
-  events_.push_back(Event{phase, ts, dur, pid, tid, category, std::move(name),
                           std::move(args), next_seq_++});
 }
 

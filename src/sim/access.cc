@@ -129,8 +129,8 @@ void AccessRecorder::FlushEvent() {
       if (!e.write && !a.write) continue;  // read-read never conflicts
       // Lane projection (sharded runs only): two worker lanes touching the
       // same (object, group) inside one conservative window is exactly the
-      // pair the threaded driver would run concurrently. The global lane
-      // (lane 0) runs in its own exclusive phase and never conflicts.
+      // pair the schedule orders by lane rather than by time. The global
+      // lane (lane 0) runs in its own phase and never conflicts.
       if (window_id_ != 0 && e.window == window_id_ && e.lane != event_lane_ &&
           e.lane >= 1 && event_lane_ >= 1) {
         std::string key = info.label + "/" + std::string(a.group) + "/lane/" +

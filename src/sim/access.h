@@ -14,14 +14,15 @@
 namespace spongefiles::sim {
 
 // ---------------------------------------------------------------------------
-// Access-set recording: a race detector for races that do not exist yet.
+// Access-set recording: a detector for ordering hazards of the sharded
+// schedule.
 //
-// The planned parallel engine shards the event loop by node (or by rack)
-// and runs shards optimistically up to a conservative lookahead — the
-// minimum latency of any message that could still arrive from another
-// shard. Under that rule, two events may execute concurrently iff they
-// live on different shards and their timestamps are within one lookahead
-// of each other; any state they share is then a data race.
+// The rack-sharded schedule (DESIGN.md §13) runs each shard up to a
+// conservative lookahead — the minimum latency of any message that could
+// still arrive from another shard. Under that rule, two events on
+// different shards whose timestamps are within one lookahead of each other
+// run in lane order, not timestamp order; any state they share is then
+// touched out of causal order.
 //
 // The sequential engine, in an opt-in instrumented mode
 // (Engine::RecordAccessSets), tells the recorder when each event begins;
@@ -31,7 +32,7 @@ namespace spongefiles::sim {
 // sliding window of recent accesses per (object, group), and reports every
 // read-write or write-write pair that (a) comes from two events with
 // different homes and (b) falls within the lookahead window — i.e. every
-// pair the parallel engine could actually interleave. Objects declared
+// pair the sharded schedule could actually reorder. Objects declared
 // global-with-reason are the sanctioned shared state (failure-detector
 // flags, central services); their touches are censused but never
 // conflicts.
@@ -119,7 +120,7 @@ class AccessRecorder {
   // Once windows are announced, the recorder additionally reports a "lane"
   // projection conflict for every (object, group) touched from two
   // distinct *worker* lanes inside one window with at least one write —
-  // the accesses the threaded driver would actually run concurrently. A
+  // the accesses the schedule orders by lane rather than by time. A
   // clean sequential census predicts zero of these; any hit is a shard
   // assignment the static analysis missed.
   void BeginWindow(uint64_t id);

@@ -9,10 +9,6 @@
 
 namespace spongefiles::sim {
 
-namespace internal {
-thread_local LaneTls g_lane_tls;
-}  // namespace internal
-
 namespace {
 
 constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
@@ -322,9 +318,9 @@ uint64_t Engine::RunLaneEvents(Lane& lane, SimTime deadline) {
 
 uint64_t Engine::RunWorkerLane(uint32_t lane_index, SimTime window_end) {
   Lane& lane = lanes_[lane_index];
-  internal::g_lane_tls = internal::LaneTls{this, &lane, lane_index};
+  current_ = &lane;
   uint64_t processed = RunLaneEvents(lane, window_end - 1);
-  internal::g_lane_tls = internal::LaneTls{};
+  current_ = nullptr;
   return processed;
 }
 
@@ -338,8 +334,6 @@ SimTime Engine::NextEventTime(const Lane& lane) {
 }
 
 uint64_t Engine::RunWindows(SimTime deadline, bool bounded) {
-  SPONGE_CHECK(runner_ == nullptr || recorder_ == nullptr)
-      << "access-set recording requires the serial lane driver";
   const uint64_t start_events = events_processed();
   for (;;) {
     SimTime t = kNoEvent;
@@ -354,18 +348,9 @@ uint64_t Engine::RunWindows(SimTime deadline, bool bounded) {
     if (bounded && w > deadline) w = deadline + 1;
     ++window_counter_;
     if (recorder_ != nullptr) recorder_->BeginWindow(window_counter_);
-    // Phase A: worker lanes, independently.
-    if (runner_ != nullptr) {
-      runner_->RunWorkers(this, w);
-    } else {
-      for (uint32_t l = 1; l < lane_count_; ++l) RunWorkerLane(l, w);
-    }
-    // Replay captured side effects in lane order, so the global fold order
-    // matches the serial schedule exactly.
-    if (hooks_ != nullptr) {
-      for (uint32_t l = 1; l < lane_count_; ++l) hooks_->ReplayLane(l);
-    }
-    // Phase B: the global lane, alone — it may touch any lane's state.
+    // Phase A: worker lanes, in lane order.
+    for (uint32_t l = 1; l < lane_count_; ++l) RunWorkerLane(l, w);
+    // Phase B: the global lane — it may touch any lane's state.
     RunLaneEvents(lanes_[0], w - 1);
     // Barrier: deferred bookkeeping, then cross-lane deliveries, in
     // (source lane, emission order); arrivals clamp to the window edge.

@@ -27,23 +27,19 @@ namespace spongefiles::sim {
 // every ring event (all enqueued at now() == T). Both structures recycle
 // their slabs — steady-state scheduling allocates nothing.
 //
-// Sharded mode (see DESIGN.md "Parallel engine"): ConfigureShards splits
-// the engine into N lanes, each running the same heap+ring fast path over
-// its own queue. Lane 0 is the *global* lane (services, coordinators, any
-// state not owned by one shard); lanes 1..N-1 are worker lanes holding the
-// events of the nodes mapped to them. Execution proceeds in conservative
-// windows of width `lookahead` (the minimum cross-shard message latency):
-// within a window, worker lanes run independently (phase A) — serially in
-// lane order, or concurrently when a LaneRunner is installed — then the
-// global lane runs alone (phase B), then cross-lane messages buffered in
-// per-lane outboxes are delivered in (source lane, emission order) into
-// the target heaps, clamped to the window boundary. Because phase B is
-// exclusive, the global lane may touch any lane's state; worker lanes may
-// only touch their own. The serial (seq) and threaded (par) drivers make
-// exactly the same scheduling decisions, so their outputs are
-// byte-identical by construction.
+// Sharded mode (see DESIGN.md "Sharded serial schedule"): ConfigureShards
+// splits the engine into N lanes, each running the same heap+ring fast path
+// over its own queue. Lane 0 is the *global* lane (services, coordinators,
+// any state not owned by one shard); lanes 1..N-1 are worker lanes holding
+// the events of the nodes mapped to them. Execution proceeds in
+// conservative windows of width `lookahead` (the minimum cross-shard
+// message latency): within a window, worker lanes run one after another in
+// lane order (phase A), then the global lane runs (phase B), then
+// cross-lane messages buffered in per-lane outboxes are delivered in
+// (source lane, emission order) into the target heaps, clamped to the
+// window boundary. Worker lanes may only touch their own state; the global
+// lane may touch any lane's. Everything runs on the caller's thread.
 class AccessRecorder;  // sim/access.h
-class Engine;
 
 // Maps simulation state to lanes. lane_of_node[i] is the lane that owns
 // node i's events (0 = the global lane); lookahead is the conservative
@@ -53,40 +49,6 @@ struct ShardPlan {
   Duration lookahead = 0;  // required > 0 when lanes > 1
   std::vector<uint32_t> lane_of_node;  // node -> lane; empty = all lane 0
 };
-
-// Executes phase A of one window: RunWorkerLane(lane, window_end) for
-// every lane in [1, lane_count). The serial driver is the reference
-// schedule; a threaded implementation (sim/parallel.cc) distributes lanes
-// over a pool but must not return before every lane completes. Declared
-// here so the engine stays free of threading headers.
-class LaneRunner {
- public:
-  virtual ~LaneRunner() = default;
-  virtual void RunWorkers(Engine* engine, SimTime window_end) = 0;
-};
-
-// Replays side effects a worker lane captured during phase A (metrics,
-// trace events) on the driver thread, in lane order, before phase B runs —
-// so the fold order is identical to the serial schedule. Installed by
-// sim/parallel.cc whenever the engine is sharded (even serially, for path
-// identity between the seq and par drivers).
-class LaneHooks {
- public:
-  virtual ~LaneHooks() = default;
-  virtual void ReplayLane(uint32_t lane) = 0;
-};
-
-namespace internal {
-// Identifies the lane the calling thread is currently executing (set only
-// while a worker lane runs phase A; the driver thread outside phase A — and
-// any thread in an unsharded engine — resolves to lane 0).
-struct LaneTls {
-  const void* engine = nullptr;
-  void* lane = nullptr;
-  uint32_t index = 0;
-};
-extern thread_local LaneTls g_lane_tls;
-}  // namespace internal
 
 class Engine {
  private:
@@ -147,10 +109,7 @@ class Engine {
   // Simulated time as seen by the calling context: the current lane's
   // clock while a worker lane runs, the global lane's otherwise.
   SimTime now() const {
-    if (lane_count_ > 1 && internal::g_lane_tls.engine == this) {
-      return static_cast<const Lane*>(internal::g_lane_tls.lane)->now;
-    }
-    return main_->now;
+    return current_ != nullptr ? current_->now : main_->now;
   }
 
   // ---- sharding ----------------------------------------------------------
@@ -166,10 +125,7 @@ class Engine {
 
   // Lane of the calling context (0 outside worker-lane execution).
   uint32_t current_lane() const {
-    if (lane_count_ > 1 && internal::g_lane_tls.engine == this) {
-      return internal::g_lane_tls.index;
-    }
-    return 0;
+    return current_ != nullptr ? current_->index : 0;
   }
 
   uint32_t lane_of_node(size_t node) const {
@@ -181,12 +137,6 @@ class Engine {
   bool OnForeignLane(size_t node) const {
     return lane_count_ > 1 && current_lane() != lane_of_node(node);
   }
-
-  // Installs the phase-A executor (null = serial reference schedule) and
-  // the side-effect replay hooks. Both borrowed; callers keep them alive
-  // across Run/RunUntil.
-  void SetLaneRunner(LaneRunner* runner) { runner_ = runner; }
-  void SetLaneHooks(LaneHooks* hooks) { hooks_ = hooks; }
 
   // Awaitable: migrates the awaiting coroutine to `lane`. Same-lane hops
   // complete without suspending; cross-lane hops are delivered at the next
@@ -205,9 +155,9 @@ class Engine {
     return Awaiter{this, lane};
   }
 
-  // Runs `fn` on the driver thread at the next window barrier (unsharded:
-  // at the next event boundary). For rare cross-lane bookkeeping that must
-  // not touch another lane's state mid-window.
+  // Runs `fn` at the next window barrier (unsharded: at once). For
+  // cross-lane bookkeeping, and updates to state other lanes read, that
+  // must not land mid-window.
   void DeferToBarrier(std::function<void()> fn);
 
   // ---- spawning ----------------------------------------------------------
@@ -239,9 +189,8 @@ class Engine {
   uint64_t RunUntil(SimTime deadline);
 
   // Executes one worker lane's events below `window_end` (phase A of the
-  // current window). Called by the serial driver and by LaneRunner
-  // implementations — from a pool thread in the threaded driver. Returns
-  // events processed.
+  // current window), with now(), current_lane() and the scheduling
+  // primitives resolving to that lane meanwhile. Returns events processed.
   uint64_t RunWorkerLane(uint32_t lane, SimTime window_end);
 
   // ---- scheduling primitives ---------------------------------------------
@@ -297,10 +246,9 @@ class Engine {
   // attached, the engine announces each event to it before resuming the
   // event's continuation chain, and the SIM_READ/SIM_WRITE hooks in the
   // components feed it. Pass nullptr to detach. Off by default; the only
-  // hot-path cost when off is one null check per event and per hook.
-  // Incompatible with a threaded LaneRunner (the recorder is
-  // single-threaded); the sharded *serial* driver supports it and stamps
-  // each event with its lane and window for the lane-conflict census.
+  // hot-path cost when off is one null check per event and per hook. On
+  // a sharded engine the recorder stamps each event with its lane and
+  // window for the lane-conflict census.
   void RecordAccessSets(AccessRecorder* recorder) { recorder_ = recorder; }
   AccessRecorder* access_recorder() const { return recorder_; }
 
@@ -316,12 +264,7 @@ class Engine {
   }
 
   // The calling context's lane.
-  Lane& CurrentLaneRef() {
-    if (lane_count_ > 1 && internal::g_lane_tls.engine == this) {
-      return *static_cast<Lane*>(internal::g_lane_tls.lane);
-    }
-    return *main_;
-  }
+  Lane& CurrentLaneRef() { return current_ != nullptr ? *current_ : *main_; }
 
   // The legacy run loop over one lane: executes events with at <=
   // `deadline` (heap-at-now first, then ring, then advance). Exact
@@ -346,8 +289,8 @@ class Engine {
   std::vector<uint32_t> lane_of_node_;
   std::vector<Lane> lanes_;
   Lane* main_;  // &lanes_[0]
-  LaneRunner* runner_ = nullptr;
-  LaneHooks* hooks_ = nullptr;
+  // The worker lane RunWorkerLane is executing; null otherwise (lane 0).
+  Lane* current_ = nullptr;
   AccessRecorder* recorder_ = nullptr;
   uint64_t window_counter_ = 0;
 };

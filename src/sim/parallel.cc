@@ -1,164 +1,12 @@
 #include "sim/parallel.h"
 
-// The one translation unit in the tree allowed to use threading headers
-// (spongelint's threading allowlist covers src/sim/parallel*). Everything
-// here is host-machine concurrency — simulated time never advances on these
-// threads except through Engine::RunWorkerLane, whose schedule is identical
-// to the serial driver's.
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
+#include <unistd.h>
+
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 
 namespace spongefiles::sim {
-
-namespace {
-
-// The live Sharding (obs sinks are process-global function pointers, so at
-// most one sharded engine can run at a time).
-Sharding* g_active = nullptr;
-
-// Serializes Registry::FindOrCreate while worker threads may create
-// instruments (first touch per call site).
-std::mutex g_registry_mu;
-
-void RegistryLock(bool acquire) {
-  if (acquire) {
-    g_registry_mu.lock();
-  } else {
-    g_registry_mu.unlock();
-  }
-}
-
-// True iff the calling thread is currently executing a worker lane of the
-// active sharded engine; sets *lane on success. The driver thread between
-// phases — and any unrelated thread — declines, so the mutation applies
-// inline (which is exactly what the barrier replay path relies on).
-bool OnWorkerLane(uint32_t* lane) {
-  const internal::LaneTls& tls = internal::g_lane_tls;
-  if (g_active == nullptr || tls.engine != g_active->engine() ||
-      tls.index == 0) {
-    return false;
-  }
-  *lane = tls.index;
-  return true;
-}
-
-bool MetricSink(void* instrument, int op, uint64_t u, int64_t i, double d) {
-  uint32_t lane;
-  if (!OnWorkerLane(&lane)) return false;
-  g_active->CaptureMetric(lane, instrument, op, u, i, d);
-  return true;
-}
-
-bool TraceSink(obs::Tracer* tracer, char phase, int64_t ts, int64_t dur,
-               uint64_t pid, uint64_t tid, const char* category,
-               std::string* name, obs::TraceArgs* args) {
-  uint32_t lane;
-  if (!OnWorkerLane(&lane)) return false;
-  g_active->CaptureTrace(lane, tracer, phase, ts, dur, pid, tid, category,
-                         std::move(*name), std::move(*args));
-  return true;
-}
-
-// Phase-A executor: a persistent pool of `threads` workers plus the driver
-// thread drain the worker lanes of each window, claiming lanes through an
-// atomic cursor. RunWorkers does not return until every lane has completed
-// (the engine's phase barrier), and the mutex hand-offs on entry and exit
-// order each window's captures before its replay.
-class PoolRunner : public LaneRunner {
- public:
-  explicit PoolRunner(unsigned threads) {
-    threads_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) {
-      threads_.emplace_back([this] { WorkerMain(); });
-    }
-  }
-
-  ~PoolRunner() override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  void RunWorkers(Engine* engine, SimTime window_end) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      engine_ = engine;
-      window_end_ = window_end;
-      next_lane_.store(1, std::memory_order_relaxed);
-      remaining_ = threads_.size();
-      ++generation_;
-    }
-    cv_work_.notify_all();
-    DrainLanes(engine, window_end);  // the driver helps
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this] { return remaining_ == 0; });
-  }
-
- private:
-  void DrainLanes(Engine* engine, SimTime window_end) {
-    const uint32_t end = engine->lane_count();
-    for (;;) {
-      uint32_t lane = next_lane_.fetch_add(1, std::memory_order_relaxed);
-      if (lane >= end) break;
-      engine->RunWorkerLane(lane, window_end);
-    }
-  }
-
-  void WorkerMain() {
-    uint64_t seen = 0;
-    for (;;) {
-      Engine* engine;
-      SimTime window_end;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_work_.wait(lock,
-                      [this, seen] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        engine = engine_;
-        window_end = window_end_;
-      }
-      DrainLanes(engine, window_end);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--remaining_ == 0) cv_done_.notify_one();
-      }
-    }
-  }
-
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  bool stop_ = false;
-  uint64_t generation_ = 0;
-  size_t remaining_ = 0;
-  Engine* engine_ = nullptr;
-  SimTime window_end_ = 0;
-  std::atomic<uint32_t> next_lane_{1};
-};
-
-}  // namespace
-
-ShardPlan NodeShardPlan(size_t num_nodes, Duration lookahead) {
-  ShardPlan plan;
-  plan.lanes = static_cast<uint32_t>(num_nodes) + 1;
-  plan.lookahead = lookahead;
-  plan.lane_of_node.resize(num_nodes);
-  for (size_t i = 0; i < num_nodes; ++i) {
-    plan.lane_of_node[i] = static_cast<uint32_t>(i) + 1;
-  }
-  return plan;
-}
 
 ShardPlan RackShardPlan(const std::vector<size_t>& rack_of_node,
                         size_t num_racks, Duration lookahead) {
@@ -174,69 +22,13 @@ ShardPlan RackShardPlan(const std::vector<size_t>& rack_of_node,
 }
 
 unsigned HostCores() {
-  unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
+  long n = sysconf(_SC_NPROCESSORS_ONLN);
+  return n < 1 ? 1 : static_cast<unsigned>(n);
 }
 
-Sharding::Sharding(Engine* engine, ShardPlan plan, unsigned threads)
-    : engine_(engine), threads_(threads) {
-  const uint32_t lanes = plan.lanes;
-  engine_->ConfigureShards(std::move(plan));
-  if (lanes <= 1) return;  // legacy path: nothing to install
-  SPONGE_CHECK(g_active == nullptr)
-      << "only one sharded engine may be live at a time";
-  metric_ops_.resize(lanes);
-  trace_events_.resize(lanes);
-  g_active = this;
-  obs::g_metric_sink = &MetricSink;
-  obs::g_trace_sink = &TraceSink;
-  obs::g_registry_lock = &RegistryLock;
-  engine_->SetLaneHooks(this);
-  if (threads_ > 0) {
-    runner_ = std::make_unique<PoolRunner>(threads_);
-    engine_->SetLaneRunner(runner_.get());
-  }
-  installed_ = true;
-}
-
-Sharding::~Sharding() {
-  if (!installed_) return;
-  engine_->SetLaneRunner(nullptr);
-  engine_->SetLaneHooks(nullptr);
-  obs::g_metric_sink = nullptr;
-  obs::g_trace_sink = nullptr;
-  obs::g_registry_lock = nullptr;
-  g_active = nullptr;
-  runner_.reset();
-}
-
-void Sharding::ReplayLane(uint32_t lane) {
-  std::vector<MetricRec>& ops = metric_ops_[lane];
-  for (const MetricRec& op : ops) {
-    obs::ApplyMetricOp(op.instrument, op.op, op.u, op.i, op.d);
-  }
-  ops.clear();
-  std::vector<TraceRec>& events = trace_events_[lane];
-  for (TraceRec& ev : events) {
-    ev.tracer->EmitCaptured(ev.phase, ev.ts, ev.dur, ev.pid, ev.tid,
-                            ev.category, std::move(ev.name),
-                            std::move(ev.args));
-  }
-  events.clear();
-}
-
-void Sharding::CaptureMetric(uint32_t lane, void* instrument, int op,
-                             uint64_t u, int64_t i, double d) {
-  metric_ops_[lane].push_back(MetricRec{instrument, op, u, i, d});
-}
-
-void Sharding::CaptureTrace(uint32_t lane, obs::Tracer* tracer, char phase,
-                            int64_t ts, int64_t dur, uint64_t pid,
-                            uint64_t tid, const char* category,
-                            std::string name, obs::TraceArgs args) {
-  trace_events_[lane].push_back(TraceRec{tracer, phase, ts, dur, pid, tid,
-                                         category, std::move(name),
-                                         std::move(args)});
+Sharding::Sharding(Engine* engine, ShardPlan plan, unsigned threads) {
+  SPONGE_CHECK(threads == 0) << "the sharded schedule runs on one thread";
+  engine->ConfigureShards(std::move(plan));
 }
 
 }  // namespace spongefiles::sim

@@ -2,103 +2,37 @@
 #define SPONGEFILES_SIM_PARALLEL_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/units.h"
-#include "obs/trace.h"
 #include "sim/engine.h"
 
 namespace spongefiles::sim {
 
-// Sharded execution harness (see DESIGN.md "Parallel engine"). The engine
-// itself (sim/engine.{h,cc}) stays single-threaded and obs-free; this file
-// is the one place in the tree that may use threading headers (spongelint
-// enforces that), and the one place that knows how worker-lane side effects
-// fold back into the shared observability state.
-//
-// A Sharding object is the RAII switch: constructing one configures the
-// engine's lanes, installs the obs capture sinks (metrics and trace events
-// from worker lanes are buffered per lane and replayed in lane order at
-// each window barrier, so the fold order is identical under the serial and
-// threaded drivers), and — when threads > 0 — installs a thread-pool
-// LaneRunner for phase A. Destroying it uninstalls everything. At most one
-// Sharding may be live per process at a time (the obs sinks are global).
-
-// Builds the node-projection plan: node i is owned by lane i + 1; lane 0
-// remains the global lane. `lookahead` is the minimum cross-node message
-// latency (NetworkConfig::latency in this repo's cluster model).
-ShardPlan NodeShardPlan(size_t num_nodes, Duration lookahead);
+// Rack-sharded serial schedule (see DESIGN.md "Sharded serial schedule"):
+// the plan builder and the switch that puts an engine on it. Everything
+// runs on one host thread; worker-lane metric and trace updates apply
+// inline, in the order the lanes run.
 
 // Builds the rack-projection plan from a node -> rack map: rack r is owned
-// by lane r + 1. `lookahead` is the minimum cross-rack message latency
-// (latency + cross_rack_latency on a metered topology).
+// by lane r + 1; lane 0 remains the global lane. `lookahead` is the minimum
+// cross-rack message latency (latency + cross_rack_latency on a metered
+// topology).
 ShardPlan RackShardPlan(const std::vector<size_t>& rack_of_node,
                         size_t num_racks, Duration lookahead);
 
-// Host hardware concurrency (never 0). Lives here because this harness is
-// the only code allowed the threading headers; benches use it to size
-// --engine=par pools and to report host_cores next to speedup numbers.
+// Online host processors (never 0), reported next to host-time numbers.
 unsigned HostCores();
 
-class Sharding : public LaneHooks {
+// Configures `engine`'s lanes from `plan` (Engine::ConfigureShards). A plan
+// with lanes == 1 leaves the engine on the legacy single-queue path, so
+// call sites stay uniform. `threads` must be 0: the schedule is serial.
+class Sharding {
  public:
-  // threads == 0: the serial sharded driver (the canonical reference
-  // schedule). threads > 0: a pool of `threads` workers plus the driver
-  // thread execute phase A, one lane at a time per thread. The plan may
-  // have lanes == 1, in which case the engine stays on the legacy path and
-  // nothing is installed (uniform call sites).
   Sharding(Engine* engine, ShardPlan plan, unsigned threads = 0);
-  ~Sharding() override;
 
   Sharding(const Sharding&) = delete;
   Sharding& operator=(const Sharding&) = delete;
-
-  Engine* engine() const { return engine_; }
-  unsigned threads() const { return threads_; }
-
-  // LaneHooks: replays `lane`'s captured metric ops and trace events on the
-  // driver thread (called by the engine between phase A and phase B, in
-  // lane order).
-  void ReplayLane(uint32_t lane) override;
-
-  // Capture entry points used by the installed obs sinks (worker lanes
-  // only; the driver context declines at the sink).
-  void CaptureMetric(uint32_t lane, void* instrument, int op, uint64_t u,
-                     int64_t i, double d);
-  void CaptureTrace(uint32_t lane, obs::Tracer* tracer, char phase,
-                    int64_t ts, int64_t dur, uint64_t pid, uint64_t tid,
-                    const char* category, std::string name,
-                    obs::TraceArgs args);
-
- private:
-  struct MetricRec {
-    void* instrument;
-    int op;
-    uint64_t u;
-    int64_t i;
-    double d;
-  };
-  struct TraceRec {
-    obs::Tracer* tracer;
-    char phase;
-    int64_t ts;
-    int64_t dur;
-    uint64_t pid;
-    uint64_t tid;
-    const char* category;
-    std::string name;
-    obs::TraceArgs args;
-  };
-
-  Engine* engine_;
-  unsigned threads_ = 0;
-  bool installed_ = false;
-  std::vector<std::vector<MetricRec>> metric_ops_;   // indexed by lane
-  std::vector<std::vector<TraceRec>> trace_events_;  // indexed by lane
-  std::unique_ptr<LaneRunner> runner_;
 };
 
 }  // namespace spongefiles::sim

@@ -126,8 +126,16 @@ obs::Histogram* HealthBoard::LatencyFor(size_t node) const {
 
 void HealthBoard::RecordReadLatency(size_t node, Duration latency) {
   NoteAccess(/*write=*/true);
-  if (latency < 0) latency = 0;
-  LatencyFor(node)->Record(static_cast<uint64_t>(latency));
+  const uint64_t sample = latency < 0 ? 0 : static_cast<uint64_t>(latency);
+  obs::Histogram* histogram = LatencyFor(node);
+  if (engine_->current_lane() == 0) {
+    histogram->Record(sample);
+    return;
+  }
+  // Every lane's board reads this histogram in HedgeDelay, so a worker
+  // lane's sample is published at the window barrier, like any other
+  // cross-lane effect (DESIGN.md §13).
+  engine_->DeferToBarrier([histogram, sample] { histogram->Record(sample); });
 }
 
 Duration HealthBoard::HedgeDelay(size_t node) const {

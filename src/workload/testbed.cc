@@ -20,24 +20,9 @@ Testbed::Testbed(const TestbedConfig& config) {
   cc.node.sponge_memory = config.sponge_memory;
   cc.node.pinned_memory = config.pinned_memory;
   cc.node.ssd = config.ssd;
-  if (config.shard_projection == ShardProjection::kNode) {
-    sharding_ = std::make_unique<sim::Sharding>(
-        &engine_, sim::NodeShardPlan(config.num_nodes, cc.network.latency),
-        config.shard_threads);
-  } else if (config.shard_projection == ShardProjection::kRack) {
-    std::vector<size_t> rack_of;
-    rack_of.reserve(config.num_nodes);
-    for (size_t i = 0; i < config.num_nodes; ++i) {
-      rack_of.push_back(i / config.nodes_per_rack);
-    }
-    const size_t num_racks = rack_of.empty() ? 1 : rack_of.back() + 1;
-    sharding_ = std::make_unique<sim::Sharding>(
-        &engine_,
-        sim::RackShardPlan(rack_of, num_racks,
-                           cc.network.latency +
-                               cc.network.cross_rack_latency),
-        config.shard_threads);
-  }
+  // Before anything is scheduled: the per-lane state in SpongeEnv is sized
+  // off lane_count().
+  engine_.ConfigureShards(config.shards);
   cluster_ = std::make_unique<cluster::Cluster>(&engine_, cc);
   dfs_ = std::make_unique<cluster::Dfs>(cluster_.get());
   env_ = std::make_unique<sponge::SpongeEnv>(cluster_.get(), dfs_.get(),

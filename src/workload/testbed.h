@@ -8,19 +8,10 @@
 #include "cluster/dfs.h"
 #include "mapred/job_tracker.h"
 #include "sim/engine.h"
-#include "sim/parallel.h"
 #include "sponge/sponge_env.h"
 #include "workload/jobs.h"
 
 namespace spongefiles::workload {
-
-// How the simulated cluster maps onto engine lanes (DESIGN.md §13).
-// kNone keeps the legacy single-queue engine — the default, bit-exact old
-// behaviour. kNode and kRack shard the event loop by node / by rack; with
-// shard_threads == 0 the sharded schedule runs serially (--engine=seq, the
-// canonical reference), with shard_threads > 0 phase A runs on a thread
-// pool (--engine=par, byte-identical to seq by construction).
-enum class ShardProjection { kNone, kNode, kRack };
 
 // The evaluation testbed of section 4.2.2: 30 nodes in one rack, two map
 // slots and one reduce slot per node, 1 GB heaps, 1 GB sponge memory, and
@@ -46,12 +37,10 @@ struct TestbedConfig {
   // the pre-tiered allocator (one global free list, one global lock) kept
   // as the perf baseline for bench_selfperf --pool=flat.
   sponge::ChunkPoolConfig pool;
-  // Engine sharding. The lookahead is derived from the network config:
-  // one-way latency for the node projection, latency + cross-rack latency
-  // for the rack projection (the minimum cross-shard message delay each
-  // projection guarantees).
-  ShardProjection shard_projection = ShardProjection::kNone;
-  unsigned shard_threads = 0;
+  // Engine lanes (DESIGN.md §13). The default one-lane plan is the legacy
+  // single-queue engine; shardcheck passes a sim::RackShardPlan to check
+  // the rack-sharded serial schedule on this testbed.
+  sim::ShardPlan shards;
 };
 
 // Owns the full simulated stack and provides synchronous helpers that
@@ -82,11 +71,6 @@ class Testbed {
 
  private:
   sim::Engine engine_;
-  // Declared right after the engine (so it outlives every component that
-  // might emit metrics or traces during teardown) and constructed before
-  // the cluster: ConfigureShards must precede all scheduling, and the
-  // per-lane state in Network and SpongeEnv is sized off lane_count().
-  std::unique_ptr<sim::Sharding> sharding_;
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<cluster::Dfs> dfs_;
   std::unique_ptr<sponge::SpongeEnv> env_;

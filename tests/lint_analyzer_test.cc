@@ -171,25 +171,24 @@ TEST(BannedHeaderTest, OrdinaryHeadersPass) {
   EXPECT_TRUE(Ids(r).empty());
 }
 
-// The sharded harness is the one sanctioned home for host threading: its
-// path (and only its path) may include the threading headers.
-TEST(BannedHeaderTest, ThreadingAllowlistCoversOnlyTheShardedHarness) {
+// The simulator runs on one host thread: the threading headers are banned
+// in every file, the sharded schedule's own included.
+TEST(BannedHeaderTest, ThreadingHeadersAreBannedInEveryFile) {
   const std::string threading =
       "#include <thread>\n#include <mutex>\n#include <condition_variable>\n";
-  EXPECT_TRUE(Ids(Analyze(threading, "src/sim/parallel.cc")).empty());
-  EXPECT_TRUE(Ids(Analyze(threading, "src/sim/parallel.h")).empty());
-  // Anywhere else — including the rest of src/sim — still fails.
-  EXPECT_EQ(Ids(Analyze(threading, "src/sim/engine.cc")),
-            (std::vector<std::string>{"header", "header", "header"}));
+  const std::vector<std::string> three = {"header", "header", "header"};
+  EXPECT_EQ(Ids(Analyze(threading, "src/sim/parallel.cc")), three);
+  EXPECT_EQ(Ids(Analyze(threading, "src/sim/parallel.h")), three);
+  EXPECT_EQ(Ids(Analyze(threading, "src/sim/engine.cc")), three);
   EXPECT_EQ(Ids(Analyze("#include <thread>\n", "src/sponge/sponge_server.cc")),
             (std::vector<std::string>{"header"}));
   EXPECT_EQ(Ids(Analyze("#include <future>\n", "src/cluster/network.cc")),
             (std::vector<std::string>{"header"}));
 }
 
-// The threading allowlist exempts only the threading headers: ambient
-// randomness or time in the sharded harness is still a determinism hole.
-TEST(BannedHeaderTest, ThreadingAllowlistDoesNotCoverRandomOrTime) {
+// Ambient randomness or time in the sharded schedule is a determinism hole
+// like anywhere else.
+TEST(BannedHeaderTest, RandomAndTimeAreBannedInTheShardedSchedule) {
   EXPECT_EQ(Ids(Analyze("#include <random>\n", "src/sim/parallel.cc")),
             (std::vector<std::string>{"header"}));
   EXPECT_EQ(Ids(Analyze("#include <ctime>\n", "src/sim/parallel.cc")),

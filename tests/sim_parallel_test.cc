@@ -1,12 +1,9 @@
-// Shard-runtime tests for the conservative parallel engine (DESIGN.md
+// Shard-runtime tests for the rack-sharded serial schedule (DESIGN.md
 // §13): cross-shard messages land exactly on the lookahead horizon, ring
 // hand-offs inside one shard stay zero-latency, DrainDetached keeps its
 // spawn-order guarantee across lanes, the lane-partitioned registries
-// round-trip ids, and — the tentpole invariant — the serial (seq) and
-// threaded (par) sharded drivers produce identical simulations, including
-// under the chaos sweep's seeded gray-failure schedules. tools/check.sh
-// --tsan runs this binary under ThreadSanitizer to certify the threaded
-// driver's host-level synchronization.
+// round-trip ids, and worker-lane metric and trace updates fold in lane
+// order.
 
 #include "sim/parallel.h"
 
@@ -16,11 +13,11 @@
 #include <vector>
 
 #include "common/units.h"
-#include "mapred/job.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/engine.h"
-#include "sponge/failure.h"
+#include "sponge/rpc_client.h"
 #include "sponge/task_registry.h"
-#include "workload/testbed.h"
 
 namespace spongefiles {
 namespace {
@@ -30,8 +27,10 @@ using sim::Sharding;
 
 constexpr Duration kLookahead = Micros(100);
 
-// Two worker lanes (nodes 0 and 1), serial driver unless stated.
-sim::ShardPlan TwoLanePlan() { return sim::NodeShardPlan(2, kLookahead); }
+// Two worker lanes: node 0 on rack 0 (lane 1), node 1 on rack 1 (lane 2).
+sim::ShardPlan TwoLanePlan() {
+  return sim::RackShardPlan({0, 1}, 2, kLookahead);
+}
 
 // ---- window mechanics ------------------------------------------------------
 
@@ -220,108 +219,76 @@ TEST(ParallelEngineTest, ReplicaDirectoryScansEveryPartitionInLaneOrder) {
   EXPECT_EQ(directory.size(), 2u);
 }
 
-// ---- seq vs par byte identity ----------------------------------------------
+// ---- observability fold order ---------------------------------------------
 
-// Everything deterministic a run produces; the snapshots from the serial
-// and the threaded sharded drivers must match field for field.
-struct RunSnapshot {
-  Duration runtime = 0;
-  std::vector<mapred::Record> output;
-  uint64_t events = 0;
-  std::vector<uint64_t> lane_events;
-  SimTime now = 0;
-  uint64_t spilled = 0;
-  uint64_t leaked = 0;
-};
-
-void ExpectIdentical(const RunSnapshot& seq, const RunSnapshot& par) {
-  EXPECT_EQ(seq.runtime, par.runtime);
-  EXPECT_EQ(seq.output, par.output);
-  EXPECT_EQ(seq.events, par.events);
-  EXPECT_EQ(seq.lane_events, par.lane_events);
-  EXPECT_EQ(seq.now, par.now);
-  EXPECT_EQ(seq.spilled, par.spilled);
-  EXPECT_EQ(seq.leaked, par.leaked);
+sim::Task<> ObsWork(Engine* engine, Duration at, obs::Counter* counter,
+                    obs::Gauge* gauge, obs::Tracer* tracer, uint64_t pid,
+                    int64_t value) {
+  co_await engine->Delay(at);
+  if (counter != nullptr) counter->Increment(static_cast<uint64_t>(value));
+  if (gauge != nullptr) gauge->Set(value);
+  tracer->InstantEvent(engine->now(), pid, 0, "sim", "work");
 }
 
-// The skewed median job on a small node-projected testbed; threads == 0 is
-// the serial reference driver, threads > 0 the pool.
-RunSnapshot RunMiniWorkload(unsigned threads, uint64_t chaos_seed) {
-  workload::TestbedConfig bed_config;
-  bed_config.num_nodes = 4;
-  bed_config.sponge_memory = MiB(64);
-  bed_config.shard_projection = workload::ShardProjection::kNode;
-  bed_config.shard_threads = threads;
-  workload::Testbed bed(bed_config);
-  workload::NumbersDatasetConfig data;
-  data.count = 20001;
-  workload::NumbersDataset numbers(&bed.dfs(), "nums", data);
+TEST(ParallelEngineTest, WorkerLaneObsUpdatesFoldInLaneOrder) {
+  Engine engine;
+  Sharding sharding(&engine, TwoLanePlan());
+  obs::Registry registry;
+  obs::Counter* counter = registry.counter("test.fold.count");
+  obs::Gauge* gauge = registry.gauge("test.fold.gauge");
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  // All three updates land in the first window [0, 100), in the reverse of
+  // lane order by simulated time: the fold follows lane order (phase A runs
+  // lane 1 then lane 2, phase B the global lane), not timestamps.
+  engine.SpawnOnShard(2, 0, ObsWork(&engine, Micros(10), counter, gauge,
+                                    &tracer, /*pid=*/2, /*value=*/22));
+  engine.SpawnOnShard(1, 0, ObsWork(&engine, Micros(50), counter, gauge,
+                                    &tracer, /*pid=*/1, /*value=*/11));
+  engine.SpawnOnShard(0, 0, ObsWork(&engine, Micros(5), nullptr, nullptr,
+                                    &tracer, /*pid=*/0, /*value=*/0));
+  engine.Run();
 
-  sponge::FailureInjector injector(&bed.env(), chaos_seed);
-  if (chaos_seed != 0) {
-    sponge::ChaosOptions chaos;
-    chaos.start = Seconds(2);
-    chaos.horizon = Seconds(60);
-    chaos.num_faults = 6;
-    injector.ScheduleChaos(chaos);
-  }
-
-  auto job = workload::MakeMedianJob(&numbers, mapred::SpillMode::kSponge);
-  job.speculation.enabled = true;
-  job.speculation.check_period = Seconds(1);
-  job.speculation.min_attempt_age = Seconds(3);
-  auto result = bed.RunJob(std::move(job));
-
-  RunSnapshot snap;
-  if (result.ok()) {
-    snap.runtime = result->runtime;
-    snap.output = result->output;
-    for (const auto& task : result->map_tasks) {
-      snap.spilled += task.spill.bytes_spilled;
-    }
-    for (const auto& task : result->reduce_tasks) {
-      snap.spilled += task.spill.bytes_spilled;
-    }
-  }
-  if (chaos_seed != 0) {
-    bed.engine().RunUntil(std::max(bed.engine().now(), Seconds(60)) +
-                          Seconds(10));
-    bool swept = false;
-    auto sweep = [](workload::Testbed* tb, RunSnapshot* record,
-                    bool* done) -> sim::Task<> {
-      for (size_t n = 0; n < tb->cluster().size(); ++n) {
-        (void)co_await tb->env().server(n).GcSweep();
-        record->leaked +=
-            tb->env().server(n).pool().AllocatedChunks().size();
-      }
-      *done = true;
-    };
-    bed.engine().Spawn(sweep(&bed, &snap, &swept));
-    bed.engine().RunUntil(bed.engine().now() + Seconds(10));
-    EXPECT_TRUE(swept);
-  }
-  snap.events = bed.engine().events_processed();
-  snap.now = bed.engine().now();
-  for (uint32_t l = 0; l < bed.engine().lane_count(); ++l) {
-    snap.lane_events.push_back(bed.engine().lane_events(l));
-  }
-  return snap;
+  EXPECT_EQ(counter->value(), 33u);
+  EXPECT_EQ(gauge->value(), 22);  // lane 2 set it last
+  EXPECT_EQ(gauge->max(), 22);
+  // args.seq runs lane 1, lane 2, then lane 0.
+  const std::string json = tracer.ToJson();
+  const size_t lane1 = json.find("\"pid\":1,\"tid\":0,\"args\":{\"seq\":0}");
+  const size_t lane2 = json.find("\"pid\":2,\"tid\":0,\"args\":{\"seq\":1}");
+  const size_t lane0 = json.find("\"pid\":0,\"tid\":0,\"args\":{\"seq\":2}");
+  ASSERT_NE(lane1, std::string::npos) << json;
+  ASSERT_NE(lane2, std::string::npos) << json;
+  ASSERT_NE(lane0, std::string::npos) << json;
+  EXPECT_LT(lane1, lane2);
+  EXPECT_LT(lane2, lane0);
 }
 
-TEST(ParallelEngineTest, SeqAndParProduceIdenticalWorkloadRuns) {
-  RunSnapshot seq = RunMiniWorkload(/*threads=*/0, /*chaos_seed=*/0);
-  RunSnapshot par = RunMiniWorkload(/*threads=*/2, /*chaos_seed=*/0);
-  ASSERT_EQ(seq.output.size(), 1u);
-  ExpectIdentical(seq, par);
+// The hedge trigger reads one read-latency histogram per server, shared by
+// every lane's HealthBoard. A worker lane's samples are published at the
+// window barrier: no lane sees them, its own included, before the next
+// window.
+sim::Task<> RecordThenProbe(Engine* engine, sponge::HealthBoard* board,
+                            size_t node, std::vector<Duration>* delays) {
+  co_await engine->Delay(Micros(10));
+  for (int i = 0; i < 8; ++i) board->RecordReadLatency(node, Millis(50));
+  delays->push_back(board->HedgeDelay(node));
+  co_await engine->Delay(kLookahead);
+  delays->push_back(board->HedgeDelay(node));
 }
 
-TEST(ParallelEngineTest, SeqAndParIdenticalUnderChaosSweep) {
-  for (uint64_t seed : {1ull, 2ull}) {
-    RunSnapshot seq = RunMiniWorkload(/*threads=*/0, seed);
-    RunSnapshot par = RunMiniWorkload(/*threads=*/2, seed);
-    ExpectIdentical(seq, par);
-    EXPECT_EQ(seq.leaked, 0u) << "seed " << seed;
-  }
+TEST(ParallelEngineTest, ReadLatencySamplesPublishAtTheWindowBarrier) {
+  Engine engine;
+  Sharding sharding(&engine, TwoLanePlan());
+  sponge::RpcPolicy policy;
+  sponge::HealthBoard board(&engine, &policy);
+  const size_t node = 4242;  // a histogram no other test touches
+  std::vector<Duration> delays;
+  engine.SpawnOnShard(1, 0, RecordThenProbe(&engine, &board, node, &delays));
+  engine.Run();
+  ASSERT_EQ(delays.size(), 2u);
+  EXPECT_EQ(delays[0], policy.hedge_min_delay);  // same window: cold start
+  EXPECT_GT(delays[1], Millis(45));              // next window: published
 }
 
 }  // namespace

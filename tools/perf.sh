@@ -1,48 +1,32 @@
 #!/usr/bin/env bash
-# Self-performance gate (DESIGN.md "Performance engineering" and §13
-# "Parallel engine"). Four gates on one RelWithDebInfo build:
+# Self-performance gate (DESIGN.md "Performance engineering"). Two gates on
+# one RelWithDebInfo build:
 #
-#   1. Run-to-run determinism: bench_selfperf's fixed suite twice on the
-#      legacy engine; sim summary, metrics snapshot, and trace must be
-#      byte-identical between the runs.
-#   2. Seq-vs-par differential: the suite once on the sharded serial
-#      driver (--engine=seq) and once on the thread pool (--engine=par).
-#      All three simulated snapshots must be byte-identical between the
-#      drivers — the tentpole invariant. The suite includes the seeded
-#      chaos sweep, so gray-failure schedules are covered too.
-#   3. Datacenter differential + speedup: bench_datacenter (16 racks x 32
-#      nodes) under seq and par; --sim-out must match byte for byte, and
-#      the wall-clock ratio is recorded. On multi-core hosts the par run
-#      must be at least 2x the seq run; on a single core the ratio is
-#      recorded honestly (alongside host_cores) but not enforced.
-#   4. Pool gate (DESIGN.md §14): fig5_contention once on the tiered
+#   1. Run-to-run determinism: bench_selfperf's fixed suite twice; sim
+#      summary, metrics snapshot, and trace must be byte-identical between
+#      the runs. The suite includes the seeded chaos sweep, so gray-failure
+#      schedules are covered too.
+#   2. Pool gate (DESIGN.md §14): fig5_contention once on the tiered
 #      size-classed pool and once on --pool=flat (the pre-tiered global
 #      lock). The tiered pool's summed job runtime — a simulated,
 #      deterministic quantity — must beat the flat baseline; both numbers
 #      land in the report.
 #
-# BENCH_selfperf.json is written by the --engine=par suite run with the
-# seq run as its baseline, so the report's "speedup" field *is* the
-# parallel speedup and the per-scenario per_lane_events are populated; the
-# datacenter numbers are spliced in at the end.
+# BENCH_selfperf.json is the first gate-1 run's wall-clock report with the
+# pool numbers spliced in at the end.
 #
 # Usage: tools/perf.sh [--chaos-seeds=N] [--out=PATH] [--keep-work]
-#                      [--dc-jobs=N] [--threads=N]
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 out="$repo/BENCH_selfperf.json"
 seeds=5
 keep_work=0
-dc_jobs=400
-threads=0
 for arg in "$@"; do
   case "$arg" in
     --chaos-seeds=*) seeds="${arg#*=}" ;;
     --out=*) out="${arg#*=}" ;;
     --keep-work) keep_work=1 ;;
-    --dc-jobs=*) dc_jobs="${arg#*=}" ;;
-    --threads=*) threads="${arg#*=}" ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
@@ -51,23 +35,19 @@ build="$repo/build-perf"
 work="$(mktemp -d)"
 trap '[ "$keep_work" = 1 ] && echo "work dir kept: $work" || rm -rf "$work"' EXIT
 
-threads_flag=""
-if [ "$threads" != 0 ]; then threads_flag="--threads=$threads"; fi
-
 echo "== building ($build)"
 cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "$build" --target bench_selfperf bench_datacenter -j "$(nproc)"
+cmake --build "$build" --target bench_selfperf -j "$(nproc)"
 
 echo
-echo "== gate 1: run-to-run determinism (legacy engine)"
+echo "== gate 1: run-to-run determinism"
 "$build/bench/bench_selfperf" --chaos-seeds="$seeds" \
-  --out="$work/run1.json" --sim-out="$work/run1_sim.json" \
+  --out="$out" --sim-out="$work/run1_sim.json" \
   --metrics-out="$work/run1_metrics.json" \
   --trace-out="$work/run1_trace.json"
 echo
 "$build/bench/bench_selfperf" --chaos-seeds="$seeds" \
-  --baseline="$work/run1.json" --out="$work/run2.json" \
-  --sim-out="$work/run2_sim.json" \
+  --out="$work/run2.json" --sim-out="$work/run2_sim.json" \
   --metrics-out="$work/run2_metrics.json" \
   --trace-out="$work/run2_trace.json"
 echo
@@ -81,49 +61,10 @@ for pair in sim metrics trace; do
   fi
 done
 
-echo
-echo "== gate 2: seq-vs-par differential (sharded engine, incl. chaos sweep)"
-"$build/bench/bench_selfperf" --chaos-seeds="$seeds" --engine=seq \
-  --out="$work/seq.json" --sim-out="$work/seq_sim.json" \
-  --metrics-out="$work/seq_metrics.json" \
-  --trace-out="$work/seq_trace.json"
-echo
-"$build/bench/bench_selfperf" --chaos-seeds="$seeds" --engine=par \
-  $threads_flag \
-  --baseline="$work/seq.json" --out="$out" \
-  --sim-out="$work/par_sim.json" \
-  --metrics-out="$work/par_metrics.json" \
-  --trace-out="$work/par_trace.json"
-echo
-for pair in sim metrics trace; do
-  if cmp -s "$work/seq_${pair}.json" "$work/par_${pair}.json"; then
-    echo "  $pair snapshot: seq == par"
-  else
-    echo "  $pair snapshot: seq and par DIFFER — the threaded driver diverged from the reference schedule" >&2
-    diff "$work/seq_${pair}.json" "$work/par_${pair}.json" | head -40 >&2 || true
-    exit 1
-  fi
-done
-
-echo
-echo "== gate 3: datacenter differential + parallel speedup (512 nodes / 16 racks)"
-"$build/bench/bench_datacenter" --jobs="$dc_jobs" --engine=seq \
-  --out="$work/dc_seq.json" --sim-out="$work/dc_seq_sim.json"
-"$build/bench/bench_datacenter" --jobs="$dc_jobs" --engine=par \
-  $threads_flag \
-  --out="$work/dc_par.json" --sim-out="$work/dc_par_sim.json"
-if cmp -s "$work/dc_seq_sim.json" "$work/dc_par_sim.json"; then
-  echo "  datacenter sim snapshot: seq == par"
-else
-  echo "  datacenter sim snapshot: seq and par DIFFER" >&2
-  diff "$work/dc_seq_sim.json" "$work/dc_par_sim.json" | head -40 >&2 || true
-  exit 1
-fi
-
 extract() { grep -o "\"$2\": [0-9.]*" "$1" | head -1 | awk '{print $2}'; }
 
 echo
-echo "== gate 4: tiered pool vs flat baseline (fig5_contention)"
+echo "== gate 2: tiered pool vs flat baseline (fig5_contention)"
 "$build/bench/bench_selfperf" --scenarios=fig5_contention --pool=flat \
   --out="$work/pool_flat.json" --sim-out="$work/pool_flat_sim.json"
 "$build/bench/bench_selfperf" --scenarios=fig5_contention --pool=tiered \
@@ -138,41 +79,20 @@ else
   exit 1
 fi
 
-dc_seq_wall="$(extract "$work/dc_seq.json" wall_ms)"
-dc_par_wall="$(extract "$work/dc_par.json" wall_ms)"
-cores="$(extract "$work/dc_par.json" host_cores)"
-dc_speedup="$(awk "BEGIN{printf \"%.3f\", $dc_seq_wall / $dc_par_wall}")"
-echo "  datacenter wall: seq ${dc_seq_wall} ms, par ${dc_par_wall} ms -> ${dc_speedup}x on ${cores} core(s)"
-
-# Splice the datacenter numbers into the report (drop the closing brace,
-# append the extra keys, close again).
+# Splice the pool numbers into the report (drop the closing brace, append
+# the extra keys, close again).
 tmp="$(mktemp)"
 sed '$d' "$out" > "$tmp"
 {
   cat "$tmp"
   echo ",
-  \"datacenter_seq_wall_ms\": $dc_seq_wall,
-  \"datacenter_par_wall_ms\": $dc_par_wall,
-  \"datacenter_parallel_speedup\": $dc_speedup,
-  \"datacenter_jobs\": $dc_jobs,
   \"pool_flat_job_runtime_us\": $pool_flat_us,
   \"pool_tiered_job_runtime_us\": $pool_tiered_us
 }"
 } > "$out"
 rm -f "$tmp"
 
-if [ "$cores" -gt 1 ]; then
-  if awk "BEGIN{exit !($dc_speedup >= 2.0)}"; then
-    echo "  parallel speedup gate: ${dc_speedup}x >= 2x"
-  else
-    echo "  parallel speedup gate: ${dc_speedup}x < 2x on a ${cores}-core host" >&2
-    exit 1
-  fi
-else
-  echo "  single-core host: speedup recorded, 2x gate not applicable"
-fi
-
 echo
 echo "report: $out"
-grep -E '"(engine|threads|host_cores|total_wall_ms|baseline_total_wall_ms|speedup|datacenter_parallel_speedup|events_per_sec|peak_rss_bytes)"' "$out" || true
+grep -E '"(host_cores|total_wall_ms|events_per_sec|peak_rss_bytes)"' "$out" || true
 echo "self-perf gate passed"

@@ -3,13 +3,13 @@
 # the static half is spongelint's ownership pass). Builds the shardcheck
 # driver and runs every workload shape under the engine's instrumented
 # access-set mode TWICE: once on the legacy single-queue engine (the
-# sequential census that predicts what the parallel engine may share) and
-# once on the sharded engine's serial reference driver (--engine=seq),
-# where the recorder stamps each access with its lane and window and flags
-# any same-window cross-lane conflict. A conflict in the sharded pass that
-# the sequential census did not predict fails the gate: it would be a real
-# data race under the threaded driver. The per-shape censuses are merged
-# into one JSON artifact — the go/no-go evidence for the parallel engine.
+# sequential census that predicts what the lanes may share) and once on
+# the rack-sharded serial schedule (--engine=seq), where the recorder
+# stamps each access with its lane and window and flags any same-window
+# cross-lane conflict. A conflict in the sharded pass that the sequential
+# census did not predict fails the gate: the lookahead windows would
+# reorder causally dependent events there. The per-shape censuses are
+# merged into one JSON artifact.
 #
 # Usage: tools/shardcheck.sh [build-dir] [artifact]
 #   build-dir  default: build        (reused if already configured)

@@ -1,9 +1,9 @@
 // shardcheck: the dynamic half of the shard-safety analysis (see DESIGN.md
 // "Static analysis"). Runs a workload shape under the engine's instrumented
 // access-set mode (Engine::RecordAccessSets) and reports every event pair
-// the planned parallel engine's lookahead rule could interleave that shares
-// non-sanctioned state — i.e. the data races the parallel port would have,
-// measured before it exists.
+// the sharded schedule's lookahead rule could reorder that shares
+// non-sanctioned state — i.e. the within-window causality breaks the
+// rack-sharded schedule would have.
 //
 // Shapes:
 //   chaos       the chaos integration test's testbed (8 nodes / 2 racks,
@@ -20,14 +20,10 @@
 // Usage: shardcheck --shape=chaos|datacenter|recovery [--out=FILE]
 //                   [--seeds=N] [--jobs=N] [--engine=legacy|seq]
 //
-// --engine=seq reruns the shape on the *sharded* engine (rack projection,
-// serial reference driver) with the recorder in lane mode: every access is
-// stamped with its lane and window, and any same-window cross-lane
-// conflict the sequential census did not predict fails the run. The
-// threaded driver is deliberately not an option here — the recorder is
-// single-threaded (the engine CHECKs the combination) and the par driver
-// executes the identical schedule anyway; its host-level synchronization
-// is certified by tools/check.sh --tsan and the seq-vs-par byte gates.
+// --engine=seq reruns the shape on the rack-sharded serial schedule with
+// the recorder in lane mode: every access is stamped with its lane and
+// window, and any same-window cross-lane conflict the sequential census
+// did not predict fails the run.
 //
 // Output: a deterministic JSON census (events, accesses, split points,
 // sanctioned global objects with their reasons, and the conflict list).
@@ -68,18 +64,17 @@ struct Options {
 // Set from --engine before any shape runs.
 bool g_sharded = false;
 
-// Rack-projection plan for a raw-topology shape (the testbed shapes go
-// through TestbedConfig instead). Lookahead = the minimum cross-rack
-// message latency.
-sim::ShardPlan PlanFor(const cluster::TopologyConfig& topo,
-                       const cluster::ClusterConfig& cc) {
+// Rack-projection plan for `num_racks` racks of `nodes_per_rack` nodes.
+// Lookahead = the minimum cross-rack message latency.
+sim::ShardPlan PlanFor(size_t num_racks, size_t nodes_per_rack,
+                       const cluster::NetworkConfig& network) {
   std::vector<size_t> rack_of;
-  rack_of.reserve(topo.num_racks * topo.nodes_per_rack);
-  for (size_t i = 0; i < topo.num_racks * topo.nodes_per_rack; ++i) {
-    rack_of.push_back(i / topo.nodes_per_rack);
+  rack_of.reserve(num_racks * nodes_per_rack);
+  for (size_t i = 0; i < num_racks * nodes_per_rack; ++i) {
+    rack_of.push_back(i / nodes_per_rack);
   }
-  return sim::RackShardPlan(rack_of, topo.num_racks,
-                            cc.network.latency + cc.network.cross_rack_latency);
+  return sim::RackShardPlan(rack_of, num_racks,
+                            network.latency + network.cross_rack_latency);
 }
 
 // One instrumented run's result: the census JSON plus the go/no-go count.
@@ -110,7 +105,9 @@ RunReport RunChaosShape(uint64_t seed, bool inject) {
   bed_config.sponge.rpc.hedge_reads = true;
   bed_config.sponge.replication.enabled = true;
   if (g_sharded) {
-    bed_config.shard_projection = workload::ShardProjection::kRack;
+    bed_config.shards =
+        PlanFor(bed_config.num_nodes / bed_config.nodes_per_rack,
+                bed_config.nodes_per_rack, cluster::NetworkConfig{});
   }
   workload::Testbed bed(bed_config);
 
@@ -196,9 +193,9 @@ RunReport RunDatacenterShape(size_t num_jobs) {
 
   sim::Engine engine;
   cluster::ClusterConfig cc = cluster::MakeClusterConfig(topo);
-  std::unique_ptr<sim::Sharding> sharding;
   if (g_sharded) {
-    sharding = std::make_unique<sim::Sharding>(&engine, PlanFor(topo, cc));
+    engine.ConfigureShards(
+        PlanFor(topo.num_racks, topo.nodes_per_rack, cc.network));
   }
   cluster::Cluster cluster(&engine, cc);
   cluster::Dfs dfs(&cluster);
@@ -313,9 +310,9 @@ RunReport RunRecoveryShape(size_t num_jobs) {
 
   sim::Engine engine;
   cluster::ClusterConfig cc = cluster::MakeClusterConfig(topo);
-  std::unique_ptr<sim::Sharding> sharding;
   if (g_sharded) {
-    sharding = std::make_unique<sim::Sharding>(&engine, PlanFor(topo, cc));
+    engine.ConfigureShards(
+        PlanFor(topo.num_racks, topo.nodes_per_rack, cc.network));
   }
   cluster::Cluster cluster(&engine, cc);
   cluster::Dfs dfs(&cluster);
@@ -423,14 +420,6 @@ int main(int argc, char** argv) {
     } else {
       return Usage();
     }
-  }
-  if (options.engine == "par") {
-    std::fprintf(stderr,
-                 "shardcheck: --engine=par is not recordable (the access "
-                 "recorder is single-threaded); use --engine=seq — the "
-                 "threaded driver runs the identical schedule, and its host "
-                 "synchronization is covered by tools/check.sh --tsan\n");
-    return 2;
   }
   if (options.engine != "legacy" && options.engine != "seq") return Usage();
   g_sharded = options.engine == "seq";
